@@ -219,29 +219,6 @@ fn main() {
         after_tps / before_tps
     );
 
-    // Fused quantise-into-pack vs the two-pass hook round-trip: the same
-    // serial campaign with the fused single-pass quantise path on vs off.
-    // Canonical per-trial records are asserted byte-identical first — the
-    // fused path is a pure performance lever. Interleaved best-of as above.
-    goldeneye::set_fused_quantize(false);
-    let two_pass_jsonl = run_campaign(&ge, model.as_ref(), &x, &y, &cfg).canonical_trial_jsonl();
-    goldeneye::set_fused_quantize(true);
-    let fused_jsonl = run_campaign(&ge, model.as_ref(), &x, &y, &cfg).canonical_trial_jsonl();
-    assert!(fused_jsonl == two_pass_jsonl, "fused quantise changed per-trial campaign records");
-    let (mut two_pass_s, mut fused_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        goldeneye::set_fused_quantize(false);
-        two_pass_s = two_pass_s.min(best_time(1, &ge, model.as_ref(), &x, &y, &cfg));
-        goldeneye::set_fused_quantize(true);
-        fused_s = fused_s.min(best_time(1, &ge, model.as_ref(), &x, &y, &cfg));
-    }
-    let (two_pass_tps, fused_tps) = (trials as f64 / two_pass_s, trials as f64 / fused_s);
-    println!(
-        "Fused quantise-into-pack (serial, {trials} trials): two-pass {two_pass_tps:.2} \
-         trials/s, fused {fused_tps:.2} trials/s ({:.2}x, byte-identical records)\n",
-        fused_tps / two_pass_tps
-    );
-
     // Batched checkpoint/replay vs. the per-trial engine: same campaign,
     // same canonical per-trial records (asserted byte-identical), but
     // trials packed N to a forward and replayed from the checkpoint
@@ -388,9 +365,6 @@ fn main() {
         .with_extra("trials_per_sec_legacy_kernel", Json::Num(before_tps))
         .with_extra("trials_per_sec_packed_kernel", Json::Num(after_tps))
         .with_extra("kernel_throughput_ratio", Json::Num(after_tps / before_tps))
-        .with_extra("trials_per_sec_two_pass_quantise", Json::Num(two_pass_tps))
-        .with_extra("trials_per_sec_fused_quantise", Json::Num(fused_tps))
-        .with_extra("fused_quantise_speedup", Json::Num(fused_tps / two_pass_tps))
         .with_extra("trials_per_sec_per_trial_engine", Json::Num(unbatched_tps))
         .with_extra("batched_engine", Json::Arr(batch_rows))
         .with_extra("best_batched_trials_per_sec", Json::Num(best_batched_tps))

@@ -51,6 +51,11 @@ pub enum Law {
     /// error injector's decode fast path) agrees bitwise with the direct
     /// Method 4 decode for every code.
     LutAgreement,
+    /// The single-pass round trip (`NumberFormat::roundtrip_into`, the
+    /// emulation hook's steady state) equals the two-pass
+    /// `format_to_real_tensor(real_to_format_tensor(t))` bitwise, for
+    /// every tensor length and thread budget.
+    RoundtripAgreement,
 }
 
 impl Law {
@@ -67,6 +72,7 @@ impl Law {
             Law::FastSlowAgreement,
             Law::TensorScalarAgreement,
             Law::LutAgreement,
+            Law::RoundtripAgreement,
         ]
     }
 
@@ -83,6 +89,7 @@ impl Law {
             Law::FastSlowAgreement => "fast-slow-agreement",
             Law::TensorScalarAgreement => "tensor-scalar-agreement",
             Law::LutAgreement => "lut-agreement",
+            Law::RoundtripAgreement => "roundtrip-agreement",
         }
     }
 
@@ -105,6 +112,9 @@ impl Law {
                 "Method 1 matches Method 3∘4 element-wise under the same metadata"
             }
             Law::LutAgreement => "the dequantise LUT matches the direct Method 4 decode per code",
+            Law::RoundtripAgreement => {
+                "the single-pass round trip matches Method 1 then Method 2 bitwise"
+            }
         }
     }
 }

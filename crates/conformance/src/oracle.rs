@@ -218,6 +218,7 @@ pub fn check_format(spec: &FormatSpec) -> FormatReport {
         check_sign_symmetry(&quantize, &decoded, spec, &flags, &ctx, &mut report);
         check_idempotence(spec, format.as_ref(), &ctx, &mut report);
         check_tensor_scalar(format.as_ref(), spec, &ctx, &mut report);
+        check_roundtrip_ties(format.as_ref(), spec, &ctx, &decoded, &mut report);
         check_meta_flips(spec, format.as_ref(), &flags, &ctx, &mut report);
         if let FormatSpec::Fp { exp, man, denormals } = *spec {
             let fp = FloatingPoint::new(exp, man).with_denormals(denormals);
@@ -232,7 +233,129 @@ pub fn check_format(spec: &FormatSpec) -> FormatReport {
         }
     }
     check_lut(format.as_ref(), spec, &mut report);
+    check_roundtrip_shapes(format.as_ref(), spec, &mut report);
     report
+}
+
+/// Elements per metadata block: the BFP/MX block size, or `usize::MAX`
+/// when one register covers the whole tensor (or there is none).
+fn block_len(spec: &FormatSpec) -> usize {
+    match spec {
+        FormatSpec::Bfp { block, .. } | FormatSpec::Mx { block, .. } => *block,
+        _ => usize::MAX,
+    }
+}
+
+/// Law `roundtrip-agreement` on one tensor: the single-pass round trip
+/// under thread budgets 1 and 4 against the two-pass route. Records at
+/// most one violation (the first differing element) per tensor.
+fn check_roundtrip(
+    format: &dyn NumberFormat,
+    spec: &FormatSpec,
+    context: &str,
+    probe: &str,
+    values: Vec<f32>,
+    report: &mut FormatReport,
+) {
+    let n = values.len();
+    let t = Tensor::from_vec(values, [n]);
+    let two_pass = format.format_to_real_tensor(&format.real_to_format_tensor(&t));
+    for threads in [1usize, 4] {
+        let _budget = tensor::parallel::with_threads(threads);
+        let mut one_pass = vec![0.0f32; n];
+        format.roundtrip_into(t.as_slice(), &mut one_pass);
+        report.checks += n as u64;
+        let diff =
+            one_pass.iter().zip(two_pass.as_slice()).position(|(a, b)| a.to_bits() != b.to_bits());
+        if let Some(i) = diff {
+            report.violations.push(Violation {
+                law: Law::RoundtripAgreement,
+                spec: spec.to_string(),
+                context: context.to_string(),
+                detail: format!(
+                    "{probe} (len {n}, {threads} thread(s)) element {i} ({}): one pass {} vs two-pass {}",
+                    t.as_slice()[i],
+                    one_pass[i],
+                    two_pass.as_slice()[i]
+                ),
+            });
+        }
+    }
+}
+
+/// `roundtrip-agreement` on a context's representable values and the ties
+/// between them. The values were decoded under the metadata of element 0,
+/// so each metadata block opens with the largest magnitude of the probe's
+/// first block: that pins the derived scale / exponent / bias to the one
+/// the values were decoded under, and the midpoints are ties at the
+/// format's actual step.
+fn check_roundtrip_ties(
+    format: &dyn NumberFormat,
+    spec: &FormatSpec,
+    ctx: &Context,
+    decoded: &[f32],
+    report: &mut FormatReport,
+) {
+    let bs = block_len(spec);
+    let probe = ctx.probe.as_slice();
+    let pin = probe[..bs.min(probe.len())].iter().fold(0.0f32, |m, x| m.max(x.abs()));
+    let mut points: Vec<f32> = decoded.iter().copied().filter(|v| v.abs() <= pin).collect();
+    let mids: Vec<f32> =
+        points.windows(2).map(|w| ((w[0] as f64 + w[1] as f64) * 0.5) as f32).collect();
+    points.extend(mids);
+    let per_block = bs.min(points.len() + 1).max(2) - 1;
+    let mut values = probe.to_vec();
+    // Pad the probe to whole blocks so the tie blocks start aligned.
+    if bs != usize::MAX {
+        values.resize(values.len().next_multiple_of(bs), 0.0);
+    }
+    for chunk in points.chunks(per_block) {
+        values.push(pin);
+        values.extend_from_slice(chunk);
+    }
+    check_roundtrip(format, spec, &ctx.label, "grid and ties", values, report);
+}
+
+/// `roundtrip-agreement` on special values, on lengths around the block
+/// size (0, 1, bs − 1, bs, bs + 1), and on a tensor long enough to leave
+/// the quantisers' serial guard and run chunk-parallel.
+fn check_roundtrip_shapes(format: &dyn NumberFormat, spec: &FormatSpec, report: &mut FormatReport) {
+    let specials = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::MIN_POSITIVE / 3.0,
+        -1e-45,
+        1e-45,
+        f32::MAX,
+        -f32::MAX,
+    ];
+    check_roundtrip(format, spec, "none", "specials", specials.to_vec(), report);
+    let probe = probe_tensors().remove(0);
+    let mut mixed = probe.as_slice().to_vec();
+    mixed.extend(specials);
+    check_roundtrip(format, spec, "none", "probe with specials", mixed, report);
+
+    // A ramp with a spread of magnitudes and both signs.
+    let ramp = |n: usize| -> Vec<f32> {
+        (0..n)
+            .map(|i| ((i * 7919) % 20011) as f32 * 0.013 - 130.0 + 1.0 / (i as f32 + 1.0))
+            .collect()
+    };
+    let bs = match block_len(spec) {
+        usize::MAX => 16,
+        b => b,
+    };
+    for n in [0, 1, bs - 1, bs, bs + 1] {
+        check_roundtrip(format, spec, "none", "ramp", ramp(n), report);
+    }
+    let long = formats::PAR_MIN_ELEMS + bs + 1;
+    check_roundtrip(format, spec, "none", "long ramp", ramp(long), report);
 }
 
 /// Law `lut-agreement`: for narrow metadata-free formats, the cached

@@ -41,39 +41,6 @@ fn hook_metrics() -> &'static HookMetrics {
     })
 }
 
-/// Fused-quantise toggle: 0 = unset (consult `GOLDENEYE_FUSED` once),
-/// 1 = on, 2 = off.
-static FUSED_QUANTIZE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Enables or disables the fused single-pass quantise→dequantise hook
-/// path (overrides the `GOLDENEYE_FUSED` environment variable).
-///
-/// Fused and two-pass are bit-identical by the
-/// [`formats::NumberFormat::elementwise_quantizer`] contract; the toggle
-/// exists so benchmarks can A/B the two routes and so a suspect run can
-/// be re-executed on the legacy path (`GOLDENEYE_FUSED=0`).
-pub fn set_fused_quantize(on: bool) {
-    FUSED_QUANTIZE.store(if on { 1 } else { 2 }, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether hooks may take the fused round-trip fast path. Defaults to on;
-/// `GOLDENEYE_FUSED=0` / `off` / `false` disables it at startup.
-fn fused_quantize_enabled() -> bool {
-    match FUSED_QUANTIZE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            static FROM_ENV: OnceLock<bool> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| {
-                !matches!(
-                    std::env::var("GOLDENEYE_FUSED").as_deref(),
-                    Ok("0") | Ok("off") | Ok("false")
-                )
-            })
-        }
-    }
-}
-
 /// Locks a mutex, ignoring poisoning: hook state is only ever replaced
 /// wholesale, so a panicked trial cannot leave it torn.
 ///
@@ -216,46 +183,55 @@ impl FormatTable {
 impl ForwardHook for EmulationHook {
     fn on_output(&self, layer: &LayerInfo, output: &Tensor) -> Option<Tensor> {
         let format = self.formats.resolve(layer.index);
-        let fault_here = self.plan.as_ref().is_some_and(|p| p.layer == layer.index);
-        // Fused fast path: no fault lands in this layer, so the quantised
-        // intermediate is never inspected and the round-trip collapses to
-        // one elementwise pass (bit-identical by the quantizer contract).
-        if !fault_here && fused_quantize_enabled() {
-            let timing = trace::recording().then(Instant::now);
-            if let Some(values) = formats::fused_roundtrip(format, output) {
+        let values = match &self.plan {
+            Some(plan) if plan.layer == layer.index => {
+                let timing = trace::recording().then(Instant::now);
+                let mut q = format.real_to_format_tensor(output);
                 if let Some(t0) = timing {
                     let m = hook_metrics();
                     m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
                     m.convert_elems.add(output.numel() as u64);
                 }
-                return Some(self.range_mode.apply(&self.range, layer.index, values));
-            }
-        }
-        let timing = trace::recording().then(Instant::now);
-        let mut q = format.real_to_format_tensor(output);
-        if let Some(t0) = timing {
-            let m = hook_metrics();
-            m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
-            m.convert_elems.add(output.numel() as u64);
-        }
-        if let Some(plan) = &self.plan {
-            if plan.layer == layer.index {
                 let mut inj = lock(&self.injector);
                 let record = apply_fault(format, layer, plan, &self.sampler, &mut inj, &mut q);
                 *lock(&self.record) = Some(record);
+                let timing = trace::recording().then(Instant::now);
+                let values = format.format_to_real_tensor(&q);
+                if let Some(t0) = timing {
+                    hook_metrics().dequantize_ns.record(t0.elapsed().as_nanos() as u64);
+                }
+                values
             }
-        }
-        let timing = trace::recording().then(Instant::now);
-        let values = format.format_to_real_tensor(&q);
-        if let Some(t0) = timing {
-            hook_metrics().dequantize_ns.record(t0.elapsed().as_nanos() as u64);
-        }
+            _ => roundtrip_replicas(format, output, 1),
+        };
         Some(self.range_mode.apply(&self.range, layer.index, values))
     }
 
     fn applies_to(&self, kind: LayerKind) -> bool {
         self.filter.matches(kind)
     }
+}
+
+/// The quantise→dequantise round trip of a layer output on which no fault
+/// lands: each of the `replicas` equal row slices goes through
+/// [`NumberFormat::roundtrip_into`] straight into one output buffer, so
+/// per-tensor metadata (INT scale, BFP/MX block exponents, AFP bias) is
+/// derived per replica, exactly as a serial single-trial run over that
+/// slice derives it.
+fn roundtrip_replicas(format: &dyn NumberFormat, output: &Tensor, replicas: usize) -> Tensor {
+    let timing = trace::recording().then(Instant::now);
+    let src = output.as_slice();
+    let mut out = vec![0.0f32; src.len()];
+    let per = src.len() / replicas;
+    for (s, d) in src.chunks(per.max(1)).zip(out.chunks_mut(per.max(1))) {
+        format.roundtrip_into(s, d);
+    }
+    if let Some(t0) = timing {
+        let m = hook_metrics();
+        m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
+        m.convert_elems.add(src.len() as u64);
+    }
+    Tensor::from_vec(out, output.shape().clone())
 }
 
 /// Samples and executes one planned fault on an already-quantised tensor,
@@ -332,40 +308,23 @@ impl ForwardHook for BatchEmulationHook {
         let rows = output.dims()[0];
         assert_eq!(rows % replicas, 0, "{rows} rows do not split into {replicas} replicas");
         let per = rows / replicas;
-        let inject_here = self.plan.layer == layer.index;
-        // Fused fast path: away from the fault layer every replica gets the
-        // same pure elementwise round-trip, which commutes with replica
-        // slicing — one whole-tensor pass replaces narrow → quantise →
-        // dequantise → concat, bit-identically.
-        if !inject_here && fused_quantize_enabled() {
-            let timing = trace::recording().then(Instant::now);
-            if let Some(values) = formats::fused_roundtrip(format, output) {
-                if let Some(t0) = timing {
-                    let m = hook_metrics();
-                    m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
-                    m.convert_elems.add(output.numel() as u64);
-                }
-                return Some(self.range_mode.apply(&self.range, layer.index, values));
-            }
+        if self.plan.layer != layer.index {
+            let values = roundtrip_replicas(format, output, replicas);
+            return Some(self.range_mode.apply(&self.range, layer.index, values));
         }
         let timing = trace::recording().then(Instant::now);
         let mut slices = Vec::with_capacity(replicas);
         {
-            let mut state = inject_here.then(|| lock(&self.state));
-            if let Some(state) = &state {
-                assert_eq!(state.len(), replicas, "one injector per replica");
-            }
-            for r in 0..replicas {
+            let mut state = lock(&self.state);
+            assert_eq!(state.len(), replicas, "one injector per replica");
+            for (r, (inj, rec)) in state.iter_mut().enumerate() {
                 let slice = if replicas == 1 {
                     output.clone()
                 } else {
                     tensor::ops::narrow(output, 0, r * per, per)
                 };
                 let mut q = format.real_to_format_tensor(&slice);
-                if let Some(state) = state.as_mut() {
-                    let (inj, rec) = &mut state[r];
-                    *rec = Some(apply_fault(format, layer, &self.plan, &self.sampler, inj, &mut q));
-                }
+                *rec = Some(apply_fault(format, layer, &self.plan, &self.sampler, inj, &mut q));
                 slices.push(format.format_to_real_tensor(&q));
             }
         }
@@ -1025,25 +984,47 @@ mod tests {
         assert!(emulated.all_finite());
     }
 
+    /// A hook running the explicit two-pass route (Method 1, then
+    /// Method 2) on every CONV/LINEAR output.
+    struct TwoPassHook(Box<dyn NumberFormat>);
+
+    impl ForwardHook for TwoPassHook {
+        fn on_output(&self, _layer: &LayerInfo, output: &Tensor) -> Option<Tensor> {
+            Some(self.0.format_to_real_tensor(&self.0.real_to_format_tensor(output)))
+        }
+
+        fn applies_to(&self, kind: LayerKind) -> bool {
+            LayerFilter::ConvLinear.matches(kind)
+        }
+    }
+
     #[test]
-    fn fused_hook_path_is_bit_identical_to_two_pass() {
+    fn hook_output_equals_explicit_two_pass_route_per_family() {
         let model = tiny_model(1);
         let x = sample(2);
-        // fp:e4m3 has an elementwise quantizer (fused path taken); bfp does
-        // not (both runs take the two-pass route — the toggle is inert).
-        for spec in ["fp:e4m3", "bfp:e5m5:b16"] {
+        for spec in [
+            "fp:e4m3",
+            "fxp:1:3:12",
+            "int:8",
+            "bfp:e5m5:b16",
+            "bfp:e8m7:tensor",
+            "afp:e4m3",
+            "mx:fp8e4m3:b32",
+            "posit:8:0",
+            "p3109:e4m3",
+            "gf:16",
+        ] {
             let ge = GoldenEye::parse(spec).unwrap();
-            set_fused_quantize(true);
-            let fused = ge.run(&model, x.clone());
-            set_fused_quantize(false);
-            let two_pass = ge.run(&model, x.clone());
-            set_fused_quantize(true);
-            assert_eq!(fused.as_slice().len(), two_pass.as_slice().len(), "{spec}: shape mismatch");
-            for (i, (a, b)) in fused.as_slice().iter().zip(two_pass.as_slice()).enumerate() {
-                assert!(
-                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                    "{spec} logit {i}: fused {a} vs two-pass {b}"
-                );
+            let hooked = ge.run(&model, x.clone());
+            let mut ctx = Ctx::inference();
+            ctx.add_hook(Arc::new(TwoPassHook(
+                spec.parse::<formats::FormatSpec>().unwrap().build(),
+            )));
+            let xv = ctx.input(x.clone());
+            let two_pass = model.forward(&xv, &mut ctx).value();
+            assert_eq!(hooked.dims(), two_pass.dims(), "{spec}: shape mismatch");
+            for (i, (a, b)) in hooked.as_slice().iter().zip(two_pass.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{spec} logit {i}: hook {a} vs two-pass {b}");
             }
         }
     }

@@ -88,7 +88,12 @@ impl AdaptivFloat {
     /// Selects the exponent bias for a tensor: shifts the format's top
     /// normal exponent onto the tensor's maximum magnitude.
     pub fn bias_for(&self, t: &Tensor) -> i32 {
-        let m = t.max_abs() as f64;
+        self.bias_for_max(t.max_abs())
+    }
+
+    /// The bias for a tensor whose maximum magnitude is `m`.
+    fn bias_for_max(&self, m: f32) -> i32 {
+        let m = m as f64;
         if m == 0.0 || !m.is_finite() {
             return 0;
         }
@@ -103,9 +108,47 @@ impl AdaptivFloat {
         }
     }
 
+    /// The exact f64 quantiser under a fixed bias — the reference the
+    /// tensor kernel's fast path must match bitwise.
     fn quantize_with_bias(&self, x: f32, bias: i32) -> f32 {
         let s = exp2(bias as i64);
         (self.params.quantize(x as f64 / s) * s) as f32
+    }
+
+    /// Method 1's kernel: a max fold for the bias, then one map. Returns
+    /// the bias.
+    ///
+    /// The fast path rescales by `2^−bias` in f32 and takes the bit-level
+    /// [`FpParams::quantize_f32`]. While the rescaled value `y` is a
+    /// finite f32 above the smallest normal, `y` is exactly `x / 2^bias`,
+    /// `quantize_f32(y)` is exactly the f64 `quantize(y)` (law
+    /// `fast-slow-agreement`; a finite result is f32-representable), and
+    /// the final `· 2^bias` rounds the same real number once, as the f64
+    /// path's cast does. Everything else (zeros, NaN, ±Inf, a `y` outside
+    /// f32's normal range, an infinite quantised value) takes the exact
+    /// f64 route.
+    fn quantize_into(&self, src: &[f32], dst: &mut [f32]) -> i32 {
+        let bias = self.bias_for_max(crate::chunk::max_abs(src));
+        if (-126..=126).contains(&bias) {
+            // Both scales are normal f32 powers of two.
+            let (down, up) = (exp2(-(bias as i64)) as f32, exp2(bias as i64) as f32);
+            let quantize = self.params.quantizer_f32();
+            crate::chunk::map_into(src, dst, |x| {
+                let y = x * down;
+                // Above 2^−126 the product is exact; a product that rounded
+                // up onto 2^−126 itself may not be.
+                if y.is_finite() && y.abs() > f32::MIN_POSITIVE {
+                    let q = quantize(y);
+                    if q.is_finite() {
+                        return q * up;
+                    }
+                }
+                self.quantize_with_bias(x, bias)
+            });
+        } else {
+            crate::chunk::map_into(src, dst, |x| self.quantize_with_bias(x, bias));
+        }
+        bias
     }
 }
 
@@ -130,9 +173,16 @@ impl NumberFormat for AdaptivFloat {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let bias = self.bias_for(t);
-        let values = t.map(|x| self.quantize_with_bias(x, bias));
-        Quantized { values, meta: Metadata::ExpBias { bias, bias_bits: self.bias_bits } }
+        let mut values = vec![0.0f32; t.numel()];
+        let bias = self.quantize_into(t.as_slice(), &mut values);
+        Quantized {
+            values: Tensor::from_vec(values, t.shape().clone()),
+            meta: Metadata::ExpBias { bias, bias_bits: self.bias_bits },
+        }
+    }
+
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        self.quantize_into(src, dst);
     }
 
     fn real_to_format(&self, value: f32, meta: &Metadata, _index: usize) -> Bitstring {
@@ -196,6 +246,57 @@ mod tests {
         let qf = fp.real_to_format_tensor(&x);
         assert_eq!(Metadata::ExpBias { bias: 0, bias_bits: 4 }, qa.meta);
         assert_eq!(qa.values, qf.values);
+    }
+
+    /// The f32 fast path of the tensor kernel against the exact f64
+    /// quantiser, element by element, across biases inside and outside
+    /// the fast path's `−126..=126` window, with inputs at every f32
+    /// exponent, at the f32 subnormal boundary of the rescaled value, and
+    /// at the top of the f32 range.
+    #[test]
+    fn tensor_kernel_matches_exact_quantiser_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for (e, m) in [(4u32, 3u32), (3, 4), (5, 2), (8, 7), (8, 23), (9, 30)] {
+            let afp = AdaptivFloat::new(e, m).with_bias_bits(9);
+            let emax = afp.params.emax() as i32;
+            for target in [-200, -150, -127, -126, -100, -20, -1, 0, 5, 100, 126, 127] {
+                let top = (target + emax).clamp(-149, 127);
+                let pin = (2.0f64).powi(top) as f32;
+                let mut v = vec![pin, -pin, 0.0, -0.0, f32::NAN, 1e-45, -1e-45];
+                for k in -3..=3 {
+                    // Values whose rescaled image lands on either side of
+                    // 2^−126, where a product can round up onto it.
+                    let edge = (2.0f64).powi(target - 126) * (1.0 + k as f64 * 2f64.powi(-24));
+                    v.push(edge as f32);
+                    v.push(-(edge as f32));
+                }
+                // Random bit patterns below `pin` (every exponent field up
+                // to pin's, subnormals and NaN payloads included), so the
+                // derived bias stays the target's.
+                let pin_field = pin.to_bits() >> 23;
+                for _ in 0..3000 {
+                    let scale = (2.0f64).powi(top - rng.gen_range(0..60)) as f32;
+                    v.push(scale * rng.gen_range(-1.0f32..1.0));
+                    if pin_field > 0 {
+                        let field = rng.gen_range(0..pin_field);
+                        v.push(f32::from_bits((rng.gen::<u32>() & 0x807f_ffff) | (field << 23)));
+                    }
+                }
+                let n = v.len();
+                let q = afp.real_to_format_tensor(&Tensor::from_vec(v.clone(), [n]));
+                let bias = AdaptivFloat::expect_bias(&q.meta);
+                for (i, (&x, &got)) in v.iter().zip(q.values.as_slice()).enumerate() {
+                    let want = afp.quantize_with_bias(x, bias);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "e{e}m{m} bias {bias} element {i} ({x:e}): kernel {got:e}, exact {want:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

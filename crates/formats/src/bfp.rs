@@ -115,11 +115,59 @@ impl BlockFloatingPoint {
         (1i64 << self.man_bits) - 1
     }
 
+    /// Method 1's kernel: per block, the shared exponent from the block
+    /// max, then the block's elements mapped onto its step while the block
+    /// is still in cache. Returns the shared-exponent codes.
+    fn quantize_into(&self, src: &[f32], dst: &mut [f32]) -> Vec<u32> {
+        let mag_max = self.mag_max() as f64;
+        crate::chunk::map_blocks_into(
+            src,
+            dst,
+            self.block_size,
+            |max_abs| self.code_for_block(max_abs),
+            |code, block, out| {
+                let step = self.step_for_code(code);
+                // `|x| · 2^−k` equals `|x| / 2^k` whenever `2^−k` is itself
+                // exact (both are the correctly rounded value of one real);
+                // otherwise keep the divide.
+                let inv = 1.0 / step;
+                if step.is_normal() && inv.is_normal() {
+                    quantize_block(block, out, step, mag_max, |a| a * inv);
+                } else {
+                    quantize_block(block, out, step, mag_max, |a| a / step);
+                }
+            },
+        )
+    }
+
     fn codes_of(meta: &Metadata) -> (&[u32], usize) {
         match meta {
             Metadata::SharedExponents { codes, block_size, .. } => (codes, *block_size),
             other => panic!("BFP expects SharedExponents metadata, got {other:?}"),
         }
+    }
+}
+
+/// Maps one block onto its step: sign + `round(|x| / step)` saturated at
+/// the largest magnitude code, decoded back to the f32 fabric. `unscale`
+/// computes `|x| / step`.
+#[inline]
+fn quantize_block(
+    block: &[f32],
+    out: &mut [f32],
+    step: f64,
+    mag_max: f64,
+    unscale: impl Fn(f64) -> f64,
+) {
+    for (v, &x) in out.iter_mut().zip(block) {
+        // `is_sign_negative` (not `< 0.0`) so a −0.0 element keeps its
+        // sign bit through the round trip (law `round-trip`), matching
+        // `FpParams::encode`. NaN has no magnitude in BFP: it quantises
+        // to (signed) zero, as in the scalar Method 3.
+        let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
+        let mag =
+            if x.is_nan() { 0.0 } else { round_ties_even(unscale((x as f64).abs())).min(mag_max) };
+        *v = f32_saturate(sign * mag * step);
     }
 }
 
@@ -147,50 +195,8 @@ impl NumberFormat for BlockFloatingPoint {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let n = t.numel();
-        let src = t.as_slice();
-        let nblocks = n.div_ceil(self.block_size);
-        // Effective block extent, clamped so per-tensor blocks
-        // (`block_size == usize::MAX`) don't overflow the index math.
-        let bs = self.block_size.min(n.max(1));
-        // A task covers a fixed run of *whole* blocks, so chunk boundaries
-        // align with shared-exponent blocks and the result is identical
-        // for every thread count.
-        let blocks_per_task = (crate::chunk::QUANT_CHUNK / bs).max(1);
-        let mut codes = vec![0u32; nblocks];
-        tensor::parallel::par_chunks_mut(&mut codes, blocks_per_task, |ci, chunk| {
-            let b0 = ci * blocks_per_task;
-            for (bj, slot) in chunk.iter_mut().enumerate() {
-                let start = (b0 + bj) * bs;
-                let end = (start + bs).min(n);
-                let max_abs = src[start..end].iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
-                *slot = self.code_for_block(max_abs);
-            }
-        });
-        let mut values = vec![0.0f32; n];
-        let codes_ref = &codes[..];
-        tensor::parallel::par_chunks_mut(&mut values, blocks_per_task * bs, |ci, out| {
-            let b0 = ci * blocks_per_task;
-            for (bj, block) in out.chunks_mut(bs).enumerate() {
-                let step = self.step_for_code(codes_ref[b0 + bj]);
-                let start = (b0 + bj) * bs;
-                for (j, v) in block.iter_mut().enumerate() {
-                    let x = src[start + j];
-                    // `is_sign_negative` (not `< 0.0`) so a −0.0 element
-                    // keeps its sign bit through the round trip (law
-                    // `round-trip`), matching `FpParams::encode`. NaN has
-                    // no magnitude in BFP: it quantises to (signed) zero,
-                    // as in the scalar Method 3.
-                    let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
-                    let mag = if x.is_nan() {
-                        0.0
-                    } else {
-                        round_ties_even((x as f64).abs() / step).min(self.mag_max() as f64)
-                    };
-                    *v = f32_saturate(sign * mag * step);
-                }
-            }
-        });
+        let mut values = vec![0.0f32; t.numel()];
+        let codes = self.quantize_into(t.as_slice(), &mut values);
         Quantized {
             values: Tensor::from_vec(values, t.shape().clone()),
             meta: Metadata::SharedExponents {
@@ -199,6 +205,10 @@ impl NumberFormat for BlockFloatingPoint {
                 exp_bits: self.exp_bits,
             },
         }
+    }
+
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        self.quantize_into(src, dst);
     }
 
     fn real_to_format(&self, value: f32, meta: &Metadata, index: usize) -> Bitstring {

@@ -130,19 +130,30 @@ pub trait NumberFormat: std::fmt::Debug + Send + Sync {
         q.values.as_slice()[0]
     }
 
-    /// The format's quantise→dequantise round-trip as a pure elementwise
-    /// function, when one exists — the hook for **fused quantize-into-pack**
-    /// ([`crate::fused_roundtrip`] and `tensor::linalg::sgemm_fused`).
+    /// Writes the quantise→dequantise round-trip of `src` into `dst` — the
+    /// emulation hook's steady state on every layer where no fault lands.
     ///
-    /// The contract: for every input tensor `t`,
-    /// `t.map(f)` must be bit-identical to
-    /// `format_to_real_tensor(&real_to_format_tensor(t))`. That holds
-    /// exactly when quantisation needs no tensor-level metadata (FP, FxP,
-    /// posit, P3109, GoldenFloat); metadata-bearing formats (INT, BFP,
-    /// AFP, MX) derive a scale from the whole tensor and must return
-    /// `None` (the default) so callers fall back to the two-pass path.
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        None
+    /// The contract (conformance law `roundtrip-agreement`): `dst` is
+    /// bitwise equal to
+    /// `format_to_real_tensor(&real_to_format_tensor(t)).values` for the
+    /// 1-D tensor `t` holding `src`, for every input and every thread
+    /// budget. Tensor-level metadata (INT scale, BFP/MX block exponents,
+    /// AFP bias) is derived from `src` alone, so a caller that splits a
+    /// batch into replica slices gets each slice's own metadata.
+    ///
+    /// The default is that two-pass route, so formats defined outside
+    /// this crate are correct without overriding it. Every built-in family
+    /// overrides it with a single-pass kernel that allocates nothing but
+    /// its metadata and makes no libm call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length.
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "round-trip length mismatch");
+        let t = Tensor::from_vec(src.to_vec(), [src.len()]);
+        let values = self.format_to_real_tensor(&self.real_to_format_tensor(&t));
+        dst.copy_from_slice(values.as_slice());
     }
 
     /// Whether this format carries injectable hardware metadata.

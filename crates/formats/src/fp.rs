@@ -105,40 +105,78 @@ impl FpParams {
     /// Round-to-nearest-even is performed by adding `half − 1 + lsb` to
     /// the mantissa field; the carry propagates into the exponent, which
     /// IEEE's layout makes exactly the right thing. Values below the
-    /// format's normal range fall back to the exact f64 slow path (they
-    /// are rare in practice and need denormal/FTZ handling).
+    /// format's normal range round onto its subnormal grid (or flush) in
+    /// f32 where that grid fits f32, and take the exact f64 slow path
+    /// otherwise.
     pub(crate) fn quantize_f32(&self, x: f32) -> f32 {
-        let bits = x.to_bits();
-        let exp_field = (bits >> 23) & 0xff;
-        if exp_field == 0xff {
-            if x.is_nan() {
-                return x;
+        self.quantizer_f32()(x)
+    }
+
+    /// [`FpParams::quantize_f32`] with the format's constants hoisted out,
+    /// for tensor loops.
+    pub(crate) fn quantizer_f32(&self) -> impl Fn(f32) -> f32 + Copy {
+        let p = *self;
+        let (emin, emax, max) = (self.emin(), self.emax(), self.max_value() as f32);
+        // Mantissa bits dropped from an f32 (0 when the format keeps all).
+        let shift = 23u32.saturating_sub(self.m);
+        move |x: f32| {
+            let bits = x.to_bits();
+            if (bits >> 23) & 0xff == 0xff {
+                if x.is_nan() {
+                    return x;
+                }
+                // ±Inf saturates like any other beyond-max value.
+                return x.signum() * max;
             }
-            // ±Inf saturates like any other beyond-max value.
-            return x.signum() * self.max_value() as f32;
+            let rounded = if shift > 0 {
+                let lsb = (bits >> shift) & 1;
+                let add = (1u32 << (shift - 1)) - 1 + lsb;
+                (bits.wrapping_add(add)) & !((1u32 << shift) - 1)
+            } else {
+                bits
+            };
+            let field = (rounded >> 23) & 0xff;
+            if field == 0 {
+                // Zero or f32-subnormal: below the normal range of every
+                // format with e ≤ 8 (the helper sends wider ones to f64).
+                return p.quantize_below_normal_f32(x);
+            }
+            let e_unb = field as i64 - 127;
+            if e_unb > emax {
+                return if x < 0.0 { -max } else { max };
+            }
+            if e_unb >= emin {
+                f32::from_bits(rounded)
+            } else {
+                p.quantize_below_normal_f32(x)
+            }
         }
-        let rounded = if self.m < 23 {
-            let shift = 23 - self.m;
-            let lsb = (bits >> shift) & 1;
-            let add = (1u32 << (shift - 1)) - 1 + lsb;
-            (bits.wrapping_add(add)) & !((1u32 << shift) - 1)
-        } else {
-            bits
-        };
-        let e_unb = (((rounded >> 23) & 0xff) as i64) - 127;
-        if ((rounded >> 23) & 0xff) == 0 {
-            // Zero or f32-subnormal: below every format's normal range.
-            return self.quantize(x as f64) as f32;
+    }
+
+    /// [`FpParams::quantize`] for an `x` below the format's smallest
+    /// normal `2^emin`, kept in f32 when the format's subnormal grid and
+    /// flush threshold are f32 values (`e ≤ 8`, `m ≤ 23`); anything else
+    /// takes the exact f64 path.
+    #[inline]
+    fn quantize_below_normal_f32(&self, x: f32) -> f32 {
+        let emin = self.emin();
+        let k = emin - self.m as i64;
+        let a = x.abs();
+        if self.denormals {
+            if self.m <= 23 && k >= -149 {
+                // a < 2^emin ≤ 2^(k+23) = c, so the sum's ulp is the
+                // subnormal step 2^k: adding c rounds ties-to-even, and
+                // subtracting it is exact.
+                let c = f32::from_bits(((k + 23 + 127) as u32) << 23);
+                return ((a + c) - c).copysign(x);
+            }
+        } else if emin >= -126 {
+            // Flush-to-zero hardware: the nearest of {0, min_normal}.
+            let min_normal = f32::from_bits(((emin + 127) as u32) << 23);
+            let v = if a >= min_normal * 0.5 { min_normal } else { 0.0 };
+            return v.copysign(x);
         }
-        if e_unb > self.emax() {
-            return if x < 0.0 { -(self.max_value() as f32) } else { self.max_value() as f32 };
-        }
-        if e_unb >= self.emin() {
-            f32::from_bits(rounded)
-        } else {
-            // Denormal range of the target format: exact slow path.
-            self.quantize(x as f64) as f32
-        }
+        self.quantize(x as f64) as f32
     }
 
     /// Encodes a value into `[s | e | m]` bits. The value is quantised
@@ -199,17 +237,22 @@ impl FpParams {
     }
 }
 
-/// `2^k` in f64, exact for the exponent range used here — including the
-/// subnormal range `−1074 ≤ k < −1022` (an e11 format's smallest denormal
-/// is 2^−1042, which naive `powi` underflows to 0 because the intermediate
-/// 2^1042 overflows before the reciprocal).
+/// `2^k` in f64, built from its bit pattern: exact over the whole f64
+/// range, including the subnormal range `−1074 ≤ k < −1022` (an e11
+/// format's smallest denormal is 2^−1042, which naive `powi` underflows to
+/// 0 because the intermediate 2^1042 overflows before the reciprocal).
+/// Below 2^−1074 the result is 0; above 2^1023 it is +Inf. No libm or
+/// runtime-library call, so it folds into the quantise loops.
+#[inline]
 pub(crate) fn exp2(k: i64) -> f64 {
-    if k >= -1022 {
-        (2.0f64).powi(k as i32)
+    if k > 1023 {
+        f64::INFINITY
+    } else if k >= -1022 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else if k >= -1074 {
+        f64::from_bits(1u64 << (k + 1074))
     } else {
-        // Split so each factor stays in range; powers of two multiply
-        // exactly even when the product is subnormal.
-        (2.0f64).powi(-1022) * (2.0f64).powi((k + 1022).max(-100) as i32)
+        0.0
     }
 }
 
@@ -254,13 +297,27 @@ pub(crate) fn exponent_of(a: f64) -> i64 {
     ((a.to_bits() >> 52) & 0x7ff) as i64 - 1023
 }
 
-/// Round half to even, matching IEEE default rounding.
+/// Rounds to the nearest integer, ties to even (IEEE default rounding),
+/// with no libm call.
+///
+/// For `|x| < 2^52`, `|x| + 2^52` lies in `[2^52, 2^53]`, where the f64 ulp
+/// is 1, so the addition itself rounds `|x|` to an integer under the
+/// default ties-to-even mode and subtracting 2^52 is exact. Values with
+/// `|x| ≥ 2^52` are already integers and pass through, as do ±Inf and NaN
+/// (NaN fails the comparison).
+///
+/// **Zero-sign policy:** a zero result carries the sign of `x`
+/// (`−0.5 → −0.0`, `−0.4 → −0.0`). Every caller either passes a magnitude
+/// (`|x| ≥ 0`) or casts the result to an integer, so none can observe the
+/// sign of a zero result.
+#[inline]
 pub(crate) fn round_ties_even(x: f64) -> f64 {
-    let r = x.round();
-    if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
-        r - r.signum()
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let a = x.abs();
+    if a < TWO_52 {
+        ((a + TWO_52) - TWO_52).copysign(x)
     } else {
-        r
+        x
     }
 }
 
@@ -381,14 +438,14 @@ impl NumberFormat for FloatingPoint {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let values = crate::chunk::map_chunked(t, |x| self.params.quantize_f32(x));
+        let values = crate::chunk::map_chunked(t, self.params.quantizer_f32());
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        // Same closure as `real_to_format_tensor`; dequantise is the
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        // Same kernel as `real_to_format_tensor`; dequantise is the
         // identity cast, so the round-trip is this single map.
-        Some(Box::new(|x| self.params.quantize_f32(x)))
+        crate::chunk::map_into(src, dst, self.params.quantizer_f32());
     }
 
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
@@ -562,6 +619,100 @@ mod tests {
         assert_eq!(round_ties_even(-0.5), 0.0);
         assert_eq!(round_ties_even(-1.5), -2.0);
         assert_eq!(round_ties_even(1.3), 1.0);
+    }
+
+    /// The libm definition `round_ties_even` replaced: `round`, `trunc`
+    /// and an `fmod`.
+    fn round_ties_even_libm(x: f64) -> f64 {
+        let r = x.round();
+        if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
+            r - r.signum()
+        } else {
+            r
+        }
+    }
+
+    /// Differential check against the libm definition: bitwise equal,
+    /// except that a zero result carries the sign of `x` (the documented
+    /// zero-sign policy; the libm version turned `−0.5` into `+0.0`).
+    fn assert_rounds_like_libm(x: f64) {
+        let (new, old) = (round_ties_even(x), round_ties_even_libm(x));
+        if old.is_nan() {
+            assert!(new.is_nan(), "round_ties_even({x:e}) = {new:e}, want NaN");
+        } else if old == 0.0 {
+            assert_eq!(new.to_bits(), 0.0f64.copysign(x).to_bits(), "round_ties_even({x:e})");
+        } else {
+            assert_eq!(
+                new.to_bits(),
+                old.to_bits(),
+                "round_ties_even({x:e}) = {new:e}, libm {old:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn round_ties_even_matches_libm_definition() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const TWO_52: f64 = 4_503_599_627_370_496.0;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            0.4,
+            -0.4,
+            0.49999999999999994,
+            -0.49999999999999994,
+            TWO_52,
+            -TWO_52,
+            TWO_52 - 0.5,
+            TWO_52 - 1.5,
+            TWO_52 + 1.0,
+            TWO_52 * 2.0,
+            TWO_52 * 2.0 + 2.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // Ties k + 0.5 at every scale up to 2^52, both signs.
+        for k in (0u64..2000).chain((1..=52).flat_map(|j| [(1u64 << j) - 1, 1u64 << j])) {
+            let t = k as f64 + 0.5;
+            if t < TWO_52 {
+                cases.extend([t, -t, k as f64, -(k as f64)]);
+            }
+        }
+        for &x in &cases {
+            assert_rounds_like_libm(x);
+            assert_rounds_like_libm(-x);
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200_000 {
+            // Random bit patterns (every exponent, subnormals, NaN
+            // payloads) and a dense sweep of small magnitudes.
+            assert_rounds_like_libm(f64::from_bits(rng.gen::<u64>()));
+            let e: i32 = rng.gen_range(-4..60);
+            let m: f64 = rng.gen_range(-2.0..2.0);
+            assert_rounds_like_libm(m * (2.0f64).powi(e));
+        }
+    }
+
+    #[test]
+    fn exp2_matches_powi_over_the_f64_range() {
+        for k in -1022..=1023i64 {
+            assert_eq!(exp2(k).to_bits(), (2.0f64).powi(k as i32).to_bits(), "2^{k}");
+        }
+        for k in -1074..-1022i64 {
+            let split = (2.0f64).powi(-1022) * (2.0f64).powi((k + 1022) as i32);
+            assert_eq!(exp2(k).to_bits(), split.to_bits(), "2^{k}");
+        }
+        assert_eq!(exp2(1024), f64::INFINITY);
+        assert_eq!(exp2(-1075), 0.0);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
+use crate::fp::{exp2, round_ties_even};
 use crate::metadata::Metadata;
 use tensor::Tensor;
 
@@ -50,8 +51,9 @@ impl FixedPoint {
         self.frac_bits
     }
 
+    /// Quantisation step `2^−f`.
     fn step(&self) -> f64 {
-        (2.0f64).powi(-(self.frac_bits as i32))
+        exp2(-(self.frac_bits as i64))
     }
 
     fn raw_max(&self) -> i64 {
@@ -62,23 +64,69 @@ impl FixedPoint {
         -(1i64 << (self.int_bits + self.frac_bits))
     }
 
-    fn to_raw(self, x: f64) -> i64 {
-        if x.is_nan() {
-            return 0;
-        }
-        let q = crate::fp::round_ties_even(x / self.step());
-        if q >= self.raw_max() as f64 {
+    /// The two's-complement code of `x`: the kernel's saturated code, with
+    /// the top bound taken as the exact integer (`raw_max as f64` rounds up
+    /// to 2^62 for the 63-bit format).
+    fn to_raw(self, x: f32) -> i64 {
+        let k = self.kernel();
+        let code = k.code(x);
+        if code >= k.hi {
             self.raw_max()
-        } else if q <= self.raw_min() as f64 {
-            self.raw_min()
         } else {
-            q as i64
+            code as i64
+        }
+    }
+
+    /// The round-trip kernel with the format's constants hoisted.
+    fn kernel(&self) -> Kernel {
+        Kernel {
+            scale: exp2(self.frac_bits as i64),
+            step: self.step(),
+            lo: self.raw_min() as f64,
+            hi: self.raw_max() as f64,
         }
     }
 
     /// Quantises a single value.
     pub fn quantize_scalar(&self, x: f32) -> f32 {
-        (self.to_raw(x as f64) as f64 * self.step()) as f32
+        self.kernel().apply(x)
+    }
+}
+
+/// Quantise and dequantise kept in f64 (no integer round trip, no divide,
+/// no libm call), so the tensor loop vectorises.
+#[derive(Debug, Clone, Copy)]
+struct Kernel {
+    /// `2^f`; `x · 2^f` is exactly `x / step`, as the scale is a power of
+    /// two.
+    scale: f64,
+    step: f64,
+    /// `raw_min as f64` and `raw_max as f64`.
+    lo: f64,
+    hi: f64,
+}
+
+impl Kernel {
+    /// The saturated code of `x` as an integral f64: 0 for NaN, and +0.0
+    /// (never −0.0) for every input that rounds to zero.
+    #[inline]
+    fn code(&self, x: f32) -> f64 {
+        if x.is_nan() {
+            return 0.0;
+        }
+        let q = round_ties_even(x as f64 * self.scale);
+        if q >= self.hi {
+            self.hi
+        } else if q <= self.lo {
+            self.lo
+        } else {
+            q + 0.0
+        }
+    }
+
+    #[inline]
+    fn apply(&self, x: f32) -> f32 {
+        (self.code(x) * self.step) as f32
     }
 }
 
@@ -96,16 +144,18 @@ impl NumberFormat for FixedPoint {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let values = crate::chunk::map_chunked(t, |x| self.quantize_scalar(x));
+        let k = self.kernel();
+        let values = crate::chunk::map_chunked(t, |x| k.apply(x));
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        Some(Box::new(|x| self.quantize_scalar(x)))
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        let k = self.kernel();
+        crate::chunk::map_into(src, dst, |x| k.apply(x));
     }
 
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
-        let raw = self.to_raw(value as f64);
+        let raw = self.to_raw(value);
         let w = self.bit_width() as usize;
         Bitstring::from_u64((raw as u64) & ((1u64 << w) - 1), w)
     }

@@ -97,8 +97,8 @@ impl NumberFormat for GoldenFloat {
         self.inner.real_to_format_tensor(t)
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        self.inner.elementwise_quantizer()
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        self.inner.roundtrip_into(src, dst)
     }
 
     fn real_to_format(&self, value: f32, meta: &Metadata, index: usize) -> Bitstring {

@@ -5,6 +5,7 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
+use crate::fp::round_ties_even;
 use crate::metadata::Metadata;
 use tensor::Tensor;
 
@@ -63,18 +64,38 @@ impl IntQuant {
         }
     }
 
-    fn code_of(&self, value: f32, scale: f32) -> i64 {
+    /// Method 1's kernel: a chunked max-abs fold (bit-identical to
+    /// [`IntQuant::scale_for`]: f32 max is exact, so regrouping cannot
+    /// change it), then a chunked map with the scale fixed. Returns the
+    /// scale.
+    fn quantize_into(&self, src: &[f32], dst: &mut [f32]) -> f32 {
+        let m = crate::chunk::max_abs(src);
+        let scale = if m == 0.0 { 1.0 } else { m / self.qmax() as f32 };
+        crate::chunk::map_into(src, dst, |x| (self.code_value(x, scale) * scale as f64) as f32);
+        scale
+    }
+
+    /// The integer code of `value` under `scale`, as an f64 (exact, since
+    /// `|code| ≤ 2^31 − 1`); a zero code is +0.0. Kept in f64 so the
+    /// tensor loop needs no integer round trip.
+    #[inline]
+    fn code_value(&self, value: f32, scale: f32) -> f64 {
+        let qmax = self.qmax() as f64;
         if !value.is_finite() || scale == 0.0 {
             return if value > 0.0 {
-                self.qmax()
+                qmax
             } else if value < 0.0 {
-                -self.qmax()
+                -qmax
             } else {
-                0
+                0.0
             };
         }
-        let q = crate::fp::round_ties_even((value / scale) as f64);
-        (q as i64).clamp(-self.qmax(), self.qmax())
+        // `+ 0.0` turns a −0.0 code (a small negative value) into +0.0.
+        round_ties_even((value / scale) as f64).clamp(-qmax, qmax) + 0.0
+    }
+
+    fn code_of(&self, value: f32, scale: f32) -> i64 {
+        self.code_value(value, scale) as i64
     }
 
     fn expect_scale(meta: &Metadata) -> f32 {
@@ -99,14 +120,16 @@ impl NumberFormat for IntQuant {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        // Chunked max reduction (bit-identical to `scale_for`: f32 max is
-        // exact, so regrouping cannot change it), then a chunked map with
-        // the scale fixed.
-        let m = crate::chunk::max_abs_chunked(t);
-        let scale = if m == 0.0 { 1.0 } else { m / self.qmax() as f32 };
-        let values =
-            crate::chunk::map_chunked(t, |x| (self.code_of(x, scale) as f64 * scale as f64) as f32);
-        Quantized { values, meta: Metadata::Scale(scale) }
+        let mut values = vec![0.0f32; t.numel()];
+        let scale = self.quantize_into(t.as_slice(), &mut values);
+        Quantized {
+            values: Tensor::from_vec(values, t.shape().clone()),
+            meta: Metadata::Scale(scale),
+        }
+    }
+
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        self.quantize_into(src, dst);
     }
 
     fn real_to_format(&self, value: f32, meta: &Metadata, _index: usize) -> Bitstring {
@@ -146,7 +169,7 @@ impl NumberFormat for IntQuant {
         // register changed. Recover each code and redo the dequantising
         // multiply — the old ratio-based rescale lost the code grid (and
         // divided by zero for a zeroed-out register).
-        values.map(|x| (self.code_of(x, old_s) as f64 * new_s as f64) as f32)
+        values.map(|x| (self.code_value(x, old_s) * new_s as f64) as f32)
     }
 }
 

@@ -46,7 +46,6 @@ mod chunk;
 pub mod footprint;
 mod format;
 mod fp;
-mod fused;
 mod fxp;
 mod gf;
 pub mod hash;
@@ -58,14 +57,15 @@ mod mx;
 mod p3109;
 mod posit;
 pub mod ranges;
+mod roundtrip;
 mod spec;
 
 pub use afp::AdaptivFloat;
 pub use bfp::BlockFloatingPoint;
 pub use bitstring::Bitstring;
+pub use chunk::PAR_MIN_ELEMS;
 pub use format::{flip_value_bit, DynamicRange, NumberFormat, Quantized};
 pub use fp::{f32_saturate, mul_pow2, FloatingPoint};
-pub use fused::fused_roundtrip;
 pub use fxp::FixedPoint;
 pub use gf::GoldenFloat;
 pub use int::IntQuant;
@@ -73,4 +73,5 @@ pub use metadata::Metadata;
 pub use mx::{MxElem, MxFloat};
 pub use p3109::P3109;
 pub use posit::Posit;
+pub use roundtrip::fused_roundtrip;
 pub use spec::{FormatSpec, ParseFormatError};

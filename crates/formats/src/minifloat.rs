@@ -108,32 +108,41 @@ impl MiniFloat {
     /// at `±max_value` — ±Inf inputs included. NaN maps to NaN when a NaN
     /// code exists and to 0 otherwise; `−0.0` becomes `+0.0` under
     /// [`SpecialRule::SingleNan`] (the format has no −0 code).
+    ///
+    /// Clamping the magnitude first makes saturation exact: `max_value` is
+    /// itself on the grid, so nothing at or below it rounds past it (in
+    /// particular no mantissa rounds up into a reclaimed "special" slot —
+    /// 460 must become e4m3's 448, not its NaN code). The magnitude is then
+    /// rounded to the step `2^k` of its binade, never finer than the
+    /// subnormal step `2^(emin − m)`, by adding and subtracting `2^(k+52)`:
+    /// the sum's ulp is `2^k`, so the addition rounds ties-to-even and the
+    /// subtraction is exact. No branch on the binade, no libm call.
     pub(crate) fn quantize(&self, x: f64) -> f64 {
-        if x.is_nan() {
-            return if self.has_nan() { f64::NAN } else { 0.0 };
+        self.quantizer()(x)
+    }
+
+    /// [`MiniFloat::quantize`] with the format's constants hoisted out, for
+    /// tensor loops.
+    pub(crate) fn quantizer(&self) -> impl Fn(f64) -> f64 + Copy {
+        let (max, emin, m) = (self.max_value(), self.emin(), self.m as i64);
+        let (nan, single_nan) = (self.has_nan(), matches!(self.rule, SpecialRule::SingleNan));
+        move |x: f64| {
+            if x.is_nan() {
+                return if nan { f64::NAN } else { 0.0 };
+            }
+            let a = x.abs().min(max);
+            // The raw exponent field (−1023 for zero); `max` with emin
+            // covers the subnormal binades. The step exponent k then lies
+            // in emin − m ..= emax − m, so 2^(k+52) is a normal f64.
+            let e = ((a.to_bits() >> 52) & 0x7ff) as i64 - 1023;
+            let k = e.max(emin) - m;
+            let c = f64::from_bits(((k + 52 + 1023) as u64) << 52);
+            let v = (a + c) - c;
+            if v == 0.0 && single_nan {
+                return 0.0;
+            }
+            v.copysign(x)
         }
-        if x == 0.0 {
-            return if matches!(self.rule, SpecialRule::SingleNan) { 0.0 } else { x };
-        }
-        let sign = if x < 0.0 { -1.0 } else { 1.0 };
-        if x.is_infinite() {
-            return sign * self.max_value();
-        }
-        let a = x.abs();
-        let v = if exponent_of(a) >= self.emin() {
-            let scale = exp2(exponent_of(a) - self.m as i64);
-            // min() saturates both beyond-range inputs and in-range values
-            // whose mantissa rounds up into a reclaimed "special" slot
-            // (e.g. 460 → 480 would be e4m3's NaN code; it must be 448).
-            (round_ties_even(a / scale) * scale).min(self.max_value())
-        } else {
-            let step = self.min_denormal();
-            round_ties_even(a / step) * step
-        };
-        if v == 0.0 && matches!(self.rule, SpecialRule::SingleNan) {
-            return 0.0;
-        }
-        sign * v
     }
 
     /// Encodes to the integer image of the `[s | e | m]` word. Quantises
@@ -208,6 +217,82 @@ mod tests {
 
     fn p3109_e4m3() -> MiniFloat {
         MiniFloat::new(4, 3, SpecialRule::SingleNan)
+    }
+
+    /// The quantiser this file used before its branch-free rewrite:
+    /// per-binade divide-free rounding through `round_ties_even`.
+    fn quantize_reference(f: &MiniFloat, x: f64) -> f64 {
+        if x.is_nan() {
+            return if f.has_nan() { f64::NAN } else { 0.0 };
+        }
+        if x == 0.0 {
+            return if matches!(f.rule, SpecialRule::SingleNan) { 0.0 } else { x };
+        }
+        let sign = if x < 0.0 { -1.0 } else { 1.0 };
+        if x.is_infinite() {
+            return sign * f.max_value();
+        }
+        let a = x.abs();
+        let v = if exponent_of(a) >= f.emin() {
+            let scale = exp2(exponent_of(a) - f.m as i64);
+            (round_ties_even(a / scale) * scale).min(f.max_value())
+        } else {
+            let step = f.min_denormal();
+            round_ties_even(a / step) * step
+        };
+        if v == 0.0 && matches!(f.rule, SpecialRule::SingleNan) {
+            return 0.0;
+        }
+        sign * v
+    }
+
+    #[test]
+    fn quantize_matches_reference_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let rules =
+            [SpecialRule::Ieee, SpecialRule::NanOnly, SpecialRule::Finite, SpecialRule::SingleNan];
+        for (e, m) in [(2, 1), (2, 3), (3, 2), (4, 3), (5, 2), (3, 4), (8, 10), (5, 10)] {
+            for rule in rules {
+                let f = MiniFloat::new(e, m, rule);
+                let mut cases = vec![
+                    0.0,
+                    -0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                    f64::MAX,
+                    f64::MIN_POSITIVE,
+                    5e-324,
+                    f.max_value(),
+                    f.min_denormal(),
+                    f.min_denormal() * 0.5,
+                    f.min_denormal() * 1.5,
+                ];
+                // Every code's value and the midpoints (ties) between codes.
+                let mut grid: Vec<f64> =
+                    (0..1u64 << f.width()).map(|c| f.decode(c)).filter(|v| v.is_finite()).collect();
+                grid.sort_by(f64::total_cmp);
+                cases.extend(grid.windows(2).map(|w| (w[0] + w[1]) * 0.5));
+                cases.extend(grid);
+                for _ in 0..20_000 {
+                    let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                    let e: i32 = rng.gen_range(-160..40);
+                    cases.push(sign * rng.gen_range(1.0f64..2.0) * (2.0f64).powi(e));
+                    cases.push(f64::from_bits(rng.gen::<u64>()));
+                }
+                for &x in &cases {
+                    for x in [x, -x] {
+                        let (got, want) = (f.quantize(x), quantize_reference(&f, x));
+                        assert!(
+                            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                            "e{e}m{m} {rule:?}: quantize({x:e}) = {got:e}, reference {want:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

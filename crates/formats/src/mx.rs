@@ -19,7 +19,7 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
-use crate::fp::{exponent_of, f32_saturate, mul_pow2};
+use crate::fp::{exp2, exponent_of, f32_saturate, mul_pow2};
 use crate::metadata::Metadata;
 use crate::minifloat::{MiniFloat, SpecialRule};
 use tensor::Tensor;
@@ -147,17 +147,30 @@ impl MxFloat {
         code as i64 - SCALE_BIAS
     }
 
-    /// Quantises one element under a fixed scale code — the shared scalar
-    /// kernel of Method 1 and of Methods 3∘4, so the tensor and scalar
-    /// paths agree bitwise.
-    fn quantize_elem(&self, x: f32, code: u32) -> f32 {
-        let s = Self::scale_exp(code);
-        let v = self.elem.mini().quantize(mul_pow2(x as f64, -s));
-        if !v.is_finite() {
-            // NaN (for NaN-capable elements); quantize never returns Inf.
-            return v as f32;
-        }
-        f32_saturate(mul_pow2(v, s))
+    /// Method 1's kernel: per block, the E8M0 scale code from the block
+    /// max, then the block's elements quantised under it while the block
+    /// is still in cache. Returns the scale codes.
+    ///
+    /// The scale exponent lies in `−127..=128`, so `2^∓s` are exact f64
+    /// constants per block and multiplying by them is exactly
+    /// `mul_pow2(·, ∓s)` (which Methods 3/4 use).
+    fn quantize_into(&self, src: &[f32], dst: &mut [f32]) -> Vec<u32> {
+        let quantize = self.elem.mini().quantizer();
+        crate::chunk::map_blocks_into(
+            src,
+            dst,
+            self.block_size,
+            |max_abs| self.code_for_block(max_abs),
+            |code, block, out| {
+                let s = Self::scale_exp(code);
+                let (down, up) = (exp2(-s), exp2(s));
+                for (v, &x) in out.iter_mut().zip(block) {
+                    // A NaN element (NaN-capable element formats only)
+                    // stays the canonical NaN; quantize never returns Inf.
+                    *v = f32_saturate(quantize(x as f64 * down) * up);
+                }
+            },
+        )
     }
 
     fn codes_of(meta: &Metadata) -> (&[u32], usize) {
@@ -183,36 +196,8 @@ impl NumberFormat for MxFloat {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let n = t.numel();
-        let src = t.as_slice();
-        let nblocks = n.div_ceil(self.block_size);
-        let bs = self.block_size.min(n.max(1));
-        // Whole blocks per parallel task, exactly as in BFP: chunk
-        // boundaries align with scale blocks, so output is byte-identical
-        // for every thread count.
-        let blocks_per_task = (crate::chunk::QUANT_CHUNK / bs).max(1);
-        let mut codes = vec![0u32; nblocks];
-        tensor::parallel::par_chunks_mut(&mut codes, blocks_per_task, |ci, chunk| {
-            let b0 = ci * blocks_per_task;
-            for (bj, slot) in chunk.iter_mut().enumerate() {
-                let start = (b0 + bj) * bs;
-                let end = (start + bs).min(n);
-                let max_abs = src[start..end].iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
-                *slot = self.code_for_block(max_abs);
-            }
-        });
-        let mut values = vec![0.0f32; n];
-        let codes_ref = &codes[..];
-        tensor::parallel::par_chunks_mut(&mut values, blocks_per_task * bs, |ci, out| {
-            let b0 = ci * blocks_per_task;
-            for (bj, block) in out.chunks_mut(bs).enumerate() {
-                let code = codes_ref[b0 + bj];
-                let start = (b0 + bj) * bs;
-                for (j, v) in block.iter_mut().enumerate() {
-                    *v = self.quantize_elem(src[start + j], code);
-                }
-            }
-        });
+        let mut values = vec![0.0f32; t.numel()];
+        let codes = self.quantize_into(t.as_slice(), &mut values);
         Quantized {
             values: Tensor::from_vec(values, t.shape().clone()),
             meta: Metadata::SharedExponents {
@@ -221,6 +206,10 @@ impl NumberFormat for MxFloat {
                 exp_bits: SCALE_BITS,
             },
         }
+    }
+
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        self.quantize_into(src, dst);
     }
 
     fn real_to_format(&self, value: f32, meta: &Metadata, index: usize) -> Bitstring {

@@ -77,8 +77,8 @@ impl NumberFormat for P3109 {
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        Some(Box::new(|x| self.mini.quantize(x as f64) as f32))
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        crate::chunk::map_into(src, dst, |x| self.mini.quantize(x as f64) as f32);
     }
 
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {

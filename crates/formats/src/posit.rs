@@ -193,8 +193,8 @@ impl NumberFormat for Posit {
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        Some(Box::new(|x| self.quantize_scalar(x)))
+    fn roundtrip_into(&self, src: &[f32], dst: &mut [f32]) {
+        crate::chunk::map_into(src, dst, |x| self.quantize_scalar(x));
     }
 
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {

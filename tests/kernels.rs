@@ -188,11 +188,10 @@ fn forced_kernels_propagate_nan_inf_like_scalar() {
 }
 
 /// End to end: the canonical per-trial campaign records are byte-identical
-/// under every forced kernel and under the fused-roundtrip hook toggle.
-/// The kernel layer and the fused quantise path are pure performance
-/// levers — no campaign statistic may move.
+/// under every forced kernel to the scalar-kernel reference. The kernel
+/// layer is a pure performance lever — no campaign statistic may move.
 #[test]
-fn campaign_records_identical_across_kernels_and_fused_toggle() {
+fn campaign_records_identical_across_kernels() {
     use goldeneye::{run_campaign, CampaignConfig, GoldenEye};
     use inject::SiteKind;
     let mut rng = StdRng::seed_from_u64(1);
@@ -209,18 +208,13 @@ fn campaign_records_identical_across_kernels_and_fused_toggle() {
     };
     let _restore = ForceGuard;
     kernels::force(Some(Kernel::Scalar));
-    goldeneye::set_fused_quantize(false);
     let reference = run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl();
     assert!(!reference.is_empty());
     for kern in kernels::supported_kernels() {
         kernels::force(Some(kern));
-        for fused in [false, true] {
-            goldeneye::set_fused_quantize(fused);
-            let got = run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl();
-            assert!(got == reference, "campaign records diverged under {kern:?} fused={fused}");
-        }
+        let got = run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl();
+        assert!(got == reference, "campaign records diverged under {kern:?}");
     }
-    goldeneye::set_fused_quantize(true);
 }
 
 /// The historical zero-skip dropped NaN/Inf propagation; the packed kernel
