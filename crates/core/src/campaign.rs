@@ -8,10 +8,11 @@
 //! and the canonical `(layer, trial)`-ordered records are byte-identical
 //! between serial and parallel runs (see `TrialRecord::canonical_line`).
 
-use crate::instrument::{GoldenEye, InjectionPlan, InjectionRecord};
+use crate::instrument::{GoldenEye, InjectionPlan, InjectionRecord, RestoreOnDrop};
 use inject::{BitSampler, BitStrata, SiteKind};
 use metrics::{compare_outcomes, ConvergenceTrace, EarlyStop, RunningStats, StratifiedStats};
 use nn::Module;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use tensor::Tensor;
@@ -387,39 +388,141 @@ fn trial_record(
     record
 }
 
-/// Per-site accumulator for the wave scheduler: canonical-order records
-/// plus the running statistics the early-stop rule reads.
+/// Per-site accumulator for the wave scheduler: the site's result so far
+/// (an instrumented layer, or a weight tensor), its canonical-order
+/// records, and under stratified sampling the bit strata its ΔLoss is
+/// reweighted over.
 struct SiteState {
-    done: usize,
-    stopped: bool,
+    result: LayerResult,
+    strata: Option<BitStrata>,
     records: Vec<TrialRecord>,
-    delta_loss: RunningStats,
-    mismatch: RunningStats,
-    fired: usize,
-    stratified: Option<StratifiedStats>,
-    strata: BitStrata,
+    stopped: bool,
 }
 
 impl SiteState {
+    fn new(layer: usize, name: String, strata: Option<BitStrata>) -> Self {
+        let stratified = strata
+            .as_ref()
+            .map(|s| StratifiedStats::new(&[s.population_weight(0), s.population_weight(1)]));
+        let result = LayerResult {
+            layer,
+            name,
+            delta_loss: RunningStats::new(),
+            mismatch: RunningStats::new(),
+            injections: 0,
+            stratified,
+        };
+        SiteState { result, strata, records: Vec::new(), stopped: false }
+    }
+
     fn fold(&mut self, record: TrialRecord) {
+        let r = &mut self.result;
         if let (Some(d), Some(m)) = (record.delta_loss, record.mismatch) {
-            self.fired += 1;
-            self.delta_loss.push(d);
-            self.mismatch.push(m);
-            if let (Some(strat), Some(bit)) = (&mut self.stratified, record.bit) {
-                strat.push(self.strata.stratum_of(bit), d);
+            r.injections += 1;
+            r.delta_loss.push(d);
+            r.mismatch.push(m);
+            if let (Some(strat), Some(strata), Some(bit)) =
+                (&mut r.stratified, &self.strata, record.bit)
+            {
+                strat.push(strata.stratum_of(bit), d);
             }
         }
-        self.done += 1;
         self.records.push(record);
     }
 
     fn should_stop(&self, rule: &EarlyStop) -> bool {
-        match &self.stratified {
+        match &self.result.stratified {
             Some(s) => rule.should_stop_stratified(s),
-            None => rule.should_stop(&self.delta_loss),
+            None => rule.should_stop(&self.result.delta_loss),
         }
     }
+}
+
+/// The wave scheduler both campaign entry points share. Each round gives
+/// every unstopped site one wave of trials, split into units of at most
+/// `batch` trials that never cross a wave boundary; `run_unit(worker,
+/// site, trials)` executes a unit on one of `cfg.jobs` workers and
+/// returns its records in trial order. Records fold in canonical
+/// `(site, trial)` order and early-stop decisions fall only at wave
+/// boundaries, so the executed trial set and every record are independent
+/// of `jobs` and `batch`.
+fn run_waves<F>(
+    label: &'static str,
+    mut sites: Vec<SiteState>,
+    cfg: &CampaignConfig,
+    batch: usize,
+    run_unit: F,
+) -> (Vec<LayerResult>, Vec<TrialRecord>)
+where
+    F: Fn(usize, usize, Range<usize>) -> Vec<TrialRecord> + Sync,
+{
+    let n = cfg.injections_per_layer;
+    let rule = cfg.early_stop.map(EarlyStop::new);
+    // Streaming progress: workers tick the live status line per unit;
+    // heartbeat *events* fire only at wave-round boundaries, which are
+    // schedule-invariant, so heartbeat content is byte-deterministic
+    // across `jobs` and `trials_per_batch` (modulo the volatile timing
+    // fields listed in `trace::names::PROGRESS_VOLATILE_FIELDS`).
+    let progress = Progress::new(label, (sites.len() * n) as u64);
+    let mut round: u64 = 0;
+    loop {
+        let mut units: Vec<(usize, Range<usize>)> = Vec::new();
+        for (si, st) in sites.iter().enumerate() {
+            let done = st.records.len();
+            if st.stopped || done >= n {
+                continue;
+            }
+            // Without early stopping there are no decisions to take, so
+            // one wave covers the whole site (fewer scheduling barriers).
+            let wave = if rule.is_some() { EARLY_STOP_WAVE } else { n };
+            let wave_end = done + wave.min(n - done);
+            let mut t = done;
+            while t < wave_end {
+                let len = batch.min(wave_end - t);
+                units.push((si, t..t + len));
+                t += len;
+            }
+        }
+        if units.is_empty() {
+            break;
+        }
+        let results: Vec<Vec<TrialRecord>> = run_trials(cfg.jobs, units.len(), |worker, u| {
+            let (si, trials) = &units[u];
+            let recs = run_unit(worker, *si, trials.clone());
+            progress.tick(recs.len() as u64);
+            recs
+        });
+        for ((si, _), recs) in units.iter().zip(results) {
+            for r in recs {
+                sites[*si].fold(r);
+            }
+        }
+        if let Some(rule) = &rule {
+            for st in sites.iter_mut().filter(|st| st.records.len() < n) {
+                st.stopped = st.stopped || st.should_stop(rule);
+            }
+        }
+        round += 1;
+        // Deterministic content first (wave index, site states), volatile
+        // schedule/timing fields last.
+        let stopped = sites.iter().filter(|s| s.stopped).count();
+        let mut extra: Vec<(&'static str, Json)> = vec![
+            ("wave", Json::from(round)),
+            ("stopped_sites", Json::from(stopped)),
+            ("jobs", Json::from(cfg.jobs)),
+            ("batch", Json::from(batch)),
+        ];
+        let seg_total = trace::counter(names::CAMPAIGN_REPLAY_SEG_TOTAL).count();
+        if seg_total > 0 {
+            let skipped = trace::counter(names::CAMPAIGN_REPLAY_SEG_SKIPPED).count();
+            extra.push(("cache_hit_rate", Json::Num(skipped as f64 / seg_total as f64)));
+        }
+        progress.heartbeat(extra);
+    }
+    progress.finish();
+    let (results, records): (Vec<_>, Vec<_>) =
+        sites.into_iter().map(|s| (s.result, s.records)).unzip();
+    (results, records.concat())
 }
 
 /// Runs a layer-by-layer injection campaign.
@@ -471,186 +574,76 @@ pub fn run_campaign(
         batch = batch
     );
     let layers = ge.discover_layers(model, x.clone());
-    let n = cfg.injections_per_layer;
-    // Checkpointed clean run only when batching pays for it; its golden
-    // logits are bit-identical to `ge.run` either way.
-    let clean = (batch > 1).then(|| ge.capture_clean_run(model, x.clone()));
-    let golden = match &clean {
-        Some(c) => c.golden().clone(),
-        None => ge.run(model, x.clone()),
-    };
-    let rule = cfg.early_stop.map(EarlyStop::new);
-    let mut states: Vec<SiteState> = layers
-        .iter()
-        .map(|l| {
-            let strata = BitStrata::for_format(ge.format_for_layer(l.index));
-            let stratified = match (cfg.kind, cfg.sampler) {
-                (SiteKind::Value, BitSampler::Stratified { .. }) => Some(StratifiedStats::new(&[
-                    strata.population_weight(0),
-                    strata.population_weight(1),
-                ])),
-                _ => None,
-            };
-            SiteState {
-                done: 0,
-                stopped: false,
-                records: Vec::new(),
-                delta_loss: RunningStats::new(),
-                mismatch: RunningStats::new(),
-                fired: 0,
-                stratified,
-                strata,
-            }
-        })
-        .collect();
-    // Streaming progress: workers tick the live status line per unit;
-    // heartbeat *events* fire only at wave-round boundaries, which are
-    // schedule-invariant, so heartbeat content is byte-deterministic
-    // across `jobs` and `trials_per_batch` (modulo the volatile timing
-    // fields listed in `trace::names::PROGRESS_VOLATILE_FIELDS`).
-    let progress = Progress::new("campaign", (layers.len() * n) as u64);
-    let mut round: u64 = 0;
-    // Rounds of one wave per unstopped site; each wave splits into
-    // batches that never cross the wave boundary.
-    loop {
-        let mut units: Vec<(usize, usize, usize)> = Vec::new();
-        for (li, st) in states.iter().enumerate() {
-            if st.stopped || st.done >= n {
-                continue;
-            }
-            // Without early stopping there are no decisions to take, so
-            // one wave covers the whole site (fewer scheduling barriers).
-            let wave = if rule.is_some() { EARLY_STOP_WAVE } else { n };
-            let wave_end = st.done + wave.min(n - st.done);
-            let mut t = st.done;
-            while t < wave_end {
-                let len = batch.min(wave_end - t);
-                units.push((li, t, len));
-                t += len;
-            }
+    let clean = ge.capture_clean_run(model, x.clone());
+    let stratified =
+        cfg.kind == SiteKind::Value && matches!(cfg.sampler, BitSampler::Stratified { .. });
+    let sites = layers.iter().map(|l| {
+        let strata = stratified.then(|| BitStrata::for_format(ge.format_for_layer(l.index)));
+        SiteState::new(l.index, l.name.clone(), strata)
+    });
+    let sites = sites.collect();
+    let (results, trials) = run_waves("campaign", sites, cfg, batch, |worker, li, trials| {
+        let layer = &layers[li];
+        let plan = InjectionPlan::single(layer.index, cfg.kind);
+        let run_one = |trial: usize, faulty: &Tensor, rec: Option<&InjectionRecord>| {
+            let outcome = rec.map(|_| compare_outcomes(clean.golden(), faulty, targets));
+            let site = rec.map(|r| match r {
+                InjectionRecord::Value { flip, .. } => (flip.element, flip.bit),
+                InjectionRecord::Metadata { flip, .. } => (flip.word, flip.bit),
+            });
+            trial_record(layer.index, &layer.name, trial, cfg.kind, site, outcome.as_ref(), worker)
+        };
+        if batch > 1 {
+            let _span = trace::span!("batch", layer = layer.index, trials = trials.len());
+            let seeds: Vec<u64> = trials
+                .clone()
+                .map(|t| trial_seed(cfg.seed, layer.index as u64, t as u64))
+                .collect();
+            let outs = ge.run_replay_batch(model, &clean, plan, cfg.sampler, &seeds);
+            trials
+                .zip(&outs)
+                .map(|(trial, (faulty, rec))| run_one(trial, faulty, rec.as_ref()))
+                .collect()
+        } else {
+            trials
+                .map(|trial| {
+                    let _span = trace::span!("trial", layer = layer.index, trial = trial);
+                    let seed = trial_seed(cfg.seed, layer.index as u64, trial as u64);
+                    let (faulty, rec) =
+                        ge.run_with_injection_sampled(model, x.clone(), plan, seed, cfg.sampler);
+                    run_one(trial, &faulty, rec.as_ref())
+                })
+                .collect()
         }
-        if units.is_empty() {
-            break;
-        }
-        let results: Vec<Vec<TrialRecord>> = run_trials(cfg.jobs, units.len(), |worker, u| {
-            let (li, start, len) = units[u];
-            let layer = &layers[li];
-            let plan = InjectionPlan::single(layer.index, cfg.kind);
-            let run_one = |trial: usize, faulty: &Tensor, rec: Option<&InjectionRecord>| {
-                let outcome = rec.map(|_| compare_outcomes(&golden, faulty, targets));
-                let site = rec.map(|r| match r {
-                    InjectionRecord::Value { flip, .. } => (flip.element, flip.bit),
-                    InjectionRecord::Metadata { flip, .. } => (flip.word, flip.bit),
-                });
-                trial_record(
-                    layer.index,
-                    &layer.name,
-                    trial,
-                    cfg.kind,
-                    site,
-                    outcome.as_ref(),
-                    worker,
-                )
-            };
-            let recs: Vec<TrialRecord> = match &clean {
-                Some(clean) => {
-                    let _span = trace::span!("batch", layer = layer.index, trials = len);
-                    let seeds: Vec<u64> = (start..start + len)
-                        .map(|t| trial_seed(cfg.seed, layer.index as u64, t as u64))
-                        .collect();
-                    let outs = ge.run_replay_batch(model, clean, plan, cfg.sampler, &seeds);
-                    outs.iter()
-                        .enumerate()
-                        .map(|(i, (faulty, rec))| run_one(start + i, faulty, rec.as_ref()))
-                        .collect()
-                }
-                None => (start..start + len)
-                    .map(|trial| {
-                        let _span = trace::span!("trial", layer = layer.index, trial = trial);
-                        let seed = trial_seed(cfg.seed, layer.index as u64, trial as u64);
-                        let (faulty, rec) = ge.run_with_injection_sampled(
-                            model,
-                            x.clone(),
-                            plan,
-                            seed,
-                            cfg.sampler,
-                        );
-                        run_one(trial, &faulty, rec.as_ref())
-                    })
-                    .collect(),
-            };
-            progress.tick(recs.len() as u64);
-            recs
-        });
-        for ((li, _, _), recs) in units.iter().zip(results) {
-            for r in recs {
-                states[*li].fold(r);
-            }
-        }
-        if let Some(rule) = &rule {
-            for st in &mut states {
-                if !st.stopped && st.done < n && st.should_stop(rule) {
-                    st.stopped = true;
-                }
-            }
-        }
-        round += 1;
-        // Deterministic content first (wave index, site states), volatile
-        // schedule/timing fields last.
-        let stopped = states.iter().filter(|s| s.stopped).count();
-        let mut extra: Vec<(&'static str, Json)> = vec![
-            ("wave", Json::from(round)),
-            ("stopped_sites", Json::from(stopped)),
-            ("jobs", Json::from(cfg.jobs)),
-            ("batch", Json::from(batch)),
-        ];
-        let seg_total = trace::counter(names::CAMPAIGN_REPLAY_SEG_TOTAL).count();
-        if seg_total > 0 {
-            let skipped = trace::counter(names::CAMPAIGN_REPLAY_SEG_SKIPPED).count();
-            extra.push(("cache_hit_rate", Json::Num(skipped as f64 / seg_total as f64)));
-        }
-        progress.heartbeat(extra);
-    }
-    progress.finish();
-    let mut results = Vec::with_capacity(layers.len());
-    let mut trials = Vec::new();
-    for (layer, st) in layers.iter().zip(states) {
-        trials.extend(st.records);
-        results.push(LayerResult {
-            layer: layer.index,
-            name: layer.name.clone(),
-            delta_loss: st.delta_loss,
-            mismatch: st.mismatch,
-            injections: st.fired,
-            stratified: st.stratified,
-        });
-    }
+    });
     CampaignResult {
         format: ge.format().name(),
         kind: cfg.kind,
         layers: results,
         trials,
-        planned_trials: layers.len() * n,
+        planned_trials: layers.len() * cfg.injections_per_layer,
     }
 }
 
 /// Runs a **weight**-fault campaign (§V-B: injections in weights as well
-/// as neurons): for each weight parameter (`*.weight`), performs
+/// as neurons): for each weight parameter (`*.weight`), performs up to
 /// `cfg.injections_per_layer` single-bit flips in the stored, quantised
-/// weight, each evaluated in a fresh inference and compared against the
-/// error-free run over quantised weights.
+/// weight, each compared against the error-free run over quantised
+/// weights.
 ///
 /// Weights are quantised into the format up front (the paper's offline
-/// conversion), and fully restored before returning. `cfg.kind` is
-/// ignored: stored weights are data values.
+/// conversion), and restored when the campaign returns or unwinds.
+/// `cfg.kind` and `cfg.sampler` are ignored: stored weights are data
+/// values, and their bits are sampled uniformly.
 ///
-/// Each trial perturbs its weight through a **thread-local** parameter
-/// override ([`nn::Param::override_local`]) instead of mutating the
-/// shared storage, so with `cfg.jobs > 1` concurrent trials never
-/// observe each other's faults; the shared model holds the clean
-/// quantised weights throughout. As in [`run_campaign`], per-trial
-/// seeding plus canonical fold order make the result bit-identical for
-/// every `jobs` value.
+/// Each trial installs its faulty weight as a **thread-local** override
+/// ([`nn::Param::override_local`]), so concurrent trials never observe
+/// each other's faults, and replays only the segments from the first one
+/// reading that weight ([`crate::CleanRun::segment_for_param`]). Trials
+/// run on [`run_campaign`]'s wave scheduler, so `cfg.early_stop` applies
+/// per weight and the result is bit-identical for every `jobs` and
+/// `trials_per_batch` value; a unit's trials run one after another, since
+/// replicas with different weights cannot share a GEMM.
 pub fn run_weight_campaign(
     ge: &GoldenEye,
     model: &dyn Module,
@@ -658,89 +651,54 @@ pub fn run_weight_campaign(
     targets: &[usize],
     cfg: &CampaignConfig,
 ) -> CampaignResult {
-    use crate::instrument::ParamSnapshot;
-    let snapshot = ParamSnapshot::capture(model);
+    let _restore = RestoreOnDrop::capture(model);
     ge.quantize_weights(model);
-    let golden = ge.run(model, x.clone());
-    // Clean quantised weights, captured once: each trial flips a bit in a
-    // private copy derived from these.
-    let mut weights: Vec<(nn::Param, Tensor)> = Vec::new();
+    let _campaign_span =
+        trace::span!("campaign", format = ge.format().name(), site = "weight", jobs = cfg.jobs);
+    let clean = ge.capture_clean_run(model, x.clone());
+    // Clean weights quantise to the same codes every trial: convert each
+    // once (through the artifact store when attached) and hand trials a
+    // private clone to flip.
+    let mut weights: Vec<(nn::Param, formats::Quantized)> = Vec::new();
     model.visit_params(&mut |p| {
         if p.name().ends_with(".weight") {
-            weights.push((p.clone(), p.get()));
+            weights.push((p.clone(), ge.quantize_tensor_cached(&p.get())));
         }
     });
     let width = ge.format().bit_width() as usize;
-    let n = cfg.injections_per_layer;
-    // Clean weights quantise to the same codes every trial: convert each
-    // once (through the artifact store when attached) and hand trials a
-    // private clone to flip, instead of re-running the offline conversion
-    // per trial.
-    let clean_quantized: Vec<formats::Quantized> =
-        weights.iter().map(|(_, clean)| ge.quantize_tensor_cached(clean)).collect();
-    let _campaign_span =
-        trace::span!("campaign", format = ge.format().name(), site = "weight", jobs = cfg.jobs);
-    let progress = Progress::new("weight_campaign", (weights.len() * n) as u64);
-    let trials = run_trials(cfg.jobs, weights.len() * n, |worker, idx| {
-        let (param, clean) = &weights[idx / n];
-        let trial = idx % n;
-        let _trial_span = trace::span!("trial", layer = idx / n, trial = trial);
-        let seed = trial_seed(cfg.seed, (idx / n) as u64, trial as u64);
-        let mut injector = inject::Injector::new(seed);
-        let fault = injector.sample_value_fault(clean.numel(), width);
-        let mut q = clean_quantized[idx / n].clone();
-        inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
-        let faulty_weight = ge.format().format_to_real_tensor(&q);
-        let _guard = param.override_local(faulty_weight);
-        let faulty = ge.run(model, x.clone());
-        let outcome = compare_outcomes(&golden, &faulty, targets);
-        let record = trial_record(
-            idx / n,
-            param.name(),
-            trial,
-            SiteKind::Value,
-            Some((fault.index, fault.bit)),
-            Some(&outcome),
-            worker,
-        );
-        progress.tick(1);
-        record
-    });
-    progress.heartbeat(vec![("jobs", Json::from(cfg.jobs))]);
-    progress.finish();
-    let mut results = Vec::with_capacity(weights.len());
-    for (li, (param, _)) in weights.iter().enumerate() {
-        let mut delta_loss = RunningStats::new();
-        let mut mismatch = RunningStats::new();
-        for record in &trials[li * n..(li + 1) * n] {
-            if let (Some(d), Some(m)) = (record.delta_loss, record.mismatch) {
-                delta_loss.push(d);
-                mismatch.push(m);
-            }
-        }
-        results.push(LayerResult {
-            layer: li,
-            name: param.name().to_string(),
-            delta_loss,
-            mismatch,
-            injections: n,
-            stratified: None,
-        });
-    }
-    snapshot.restore(model);
-    let planned_trials = trials.len();
+    let sites = weights.iter().enumerate();
+    let sites = sites.map(|(li, (p, _))| SiteState::new(li, p.name().to_string(), None)).collect();
+    let batch = cfg.effective_batch(x.numel()).max(1);
+    let run_unit = |worker: usize, li: usize, trials: Range<usize>| -> Vec<TrialRecord> {
+        let (param, codes) = &weights[li];
+        let _span = trace::span!("batch", layer = li, trials = trials.len(), site = "weight");
+        let run_one = |trial: usize| {
+            let seed = trial_seed(cfg.seed, li as u64, trial as u64);
+            let fault = inject::Injector::new(seed).sample_value_fault(param.numel(), width);
+            let mut q = codes.clone();
+            inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
+            let _guard = param.override_local(ge.format().format_to_real_tensor(&q));
+            let faulty = ge.replay_with_param(model, &clean, param);
+            let outcome = compare_outcomes(clean.golden(), &faulty, targets);
+            let site = Some((fault.index, fault.bit));
+            trial_record(li, param.name(), trial, SiteKind::Value, site, Some(&outcome), worker)
+        };
+        trials.map(run_one).collect()
+    };
+    let (results, trials) = run_waves("weight_campaign", sites, cfg, batch, run_unit);
     CampaignResult {
         format: ge.format().name(),
         kind: SiteKind::Value,
         layers: results,
         trials,
-        planned_trials,
+        planned_trials: weights.len() * cfg.injections_per_layer,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamSnapshot;
     use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -966,23 +924,211 @@ mod tests {
             ..Default::default()
         }
         .with_early_stop(5.0);
-        let a = run_campaign(&ge, &model, &x, &y, &base);
-        assert!(
-            a.trials.len() < a.planned_trials,
-            "loose CI should stop early ({} of {} trials ran)",
-            a.trials.len(),
-            a.planned_trials
-        );
-        assert!(a.early_stop_savings() > 0.0);
-        // The executed trial set is identical across batch sizes and jobs.
-        for (batch, jobs) in [(4, 1), (16, 2), (EARLY_STOP_WAVE, 3)] {
-            let cfg = base.clone().with_trials_per_batch(batch).with_jobs(jobs);
-            let b = run_campaign(&ge, &model, &x, &y, &cfg);
-            assert_eq!(
-                a.canonical_trial_jsonl(),
-                b.canonical_trial_jsonl(),
-                "batch {batch} jobs {jobs} changed the early-stopped trial set"
+        let entry_points: [(&str, Campaign); 2] =
+            [("activation", run_campaign), ("weight", run_weight_campaign)];
+        for (what, run) in entry_points {
+            let a = run(&ge, &model, &x, &y, &base);
+            assert!(
+                a.trials.len() < a.planned_trials,
+                "{what}: loose CI should stop early ({} of {} trials ran)",
+                a.trials.len(),
+                a.planned_trials
             );
+            assert!(a.early_stop_savings() > 0.0);
+            // The executed trial set is identical across batch sizes and jobs.
+            for (batch, jobs) in [(4, 1), (16, 2), (EARLY_STOP_WAVE, 3)] {
+                let cfg = base.clone().with_trials_per_batch(batch).with_jobs(jobs);
+                let b = run(&ge, &model, &x, &y, &cfg);
+                assert_eq!(
+                    a.canonical_trial_jsonl(),
+                    b.canonical_trial_jsonl(),
+                    "{what}: batch {batch} jobs {jobs} changed the early-stopped trial set"
+                );
+            }
+        }
+    }
+
+    /// A campaign entry point.
+    type Campaign =
+        fn(&GoldenEye, &dyn Module, &Tensor, &[usize], &CampaignConfig) -> CampaignResult;
+
+    /// The weight campaign's canonical JSONL as the full-forward route
+    /// builds it: quantise the weights, then run [`GoldenEye::run`] over
+    /// the whole network once per trial with the faulty weight installed
+    /// through `Param::override_local`.
+    fn full_forward_weight_jsonl(
+        ge: &GoldenEye,
+        model: &dyn Module,
+        x: &Tensor,
+        y: &[usize],
+        cfg: &CampaignConfig,
+    ) -> String {
+        let snapshot = ParamSnapshot::capture(model);
+        ge.quantize_weights(model);
+        let golden = ge.run(model, x.clone());
+        let width = ge.format().bit_width() as usize;
+        let mut weights = Vec::new();
+        model.visit_params(&mut |p| {
+            if p.name().ends_with(".weight") {
+                weights.push(p.clone());
+            }
+        });
+        let mut out = String::new();
+        for (li, param) in weights.iter().enumerate() {
+            let codes = ge.quantize_tensor_cached(&param.get());
+            for trial in 0..cfg.injections_per_layer {
+                let seed = trial_seed(cfg.seed, li as u64, trial as u64);
+                let fault = inject::Injector::new(seed).sample_value_fault(param.numel(), width);
+                let mut q = codes.clone();
+                inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
+                let _guard = param.override_local(ge.format().format_to_real_tensor(&q));
+                let outcome = compare_outcomes(&golden, &ge.run(model, x.clone()), y);
+                let record = TrialRecord {
+                    layer: li,
+                    layer_name: param.name().to_string(),
+                    trial,
+                    site: "value".to_string(),
+                    element: Some(fault.index),
+                    bit: Some(fault.bit),
+                    delta_loss: Some(outcome.delta_loss),
+                    mismatch: Some(outcome.mismatch_rate),
+                    worker: 0,
+                };
+                out.push_str(&record.canonical_line());
+                out.push('\n');
+            }
+        }
+        snapshot.restore(model);
+        out
+    }
+
+    fn assert_weight_replay_matches_full_forward(
+        what: &str,
+        model: &dyn Module,
+        x: &Tensor,
+        y: &[usize],
+        specs: &[&str],
+        injections: usize,
+    ) {
+        for spec in specs {
+            let ge = GoldenEye::parse(spec).unwrap();
+            let base = CampaignConfig {
+                injections_per_layer: injections,
+                kind: SiteKind::Value,
+                seed: 37,
+                jobs: 1,
+                ..Default::default()
+            };
+            let reference = full_forward_weight_jsonl(&ge, model, x, y, &base);
+            for (jobs, batch) in [(1, 1), (2, 3)] {
+                let cfg = base.clone().with_jobs(jobs).with_trials_per_batch(batch);
+                let replayed = run_weight_campaign(&ge, model, x, y, &cfg);
+                assert_eq!(replayed.trials.len(), replayed.planned_trials);
+                assert!(replayed.layers.iter().all(|l| l.injections == injections));
+                assert!(
+                    replayed.canonical_trial_jsonl() == reference,
+                    "{what} {spec} jobs {jobs} batch {batch}: replayed weight trials \
+                     diverged from full forwards"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weight_replay_matches_full_forward_for_every_family_on_tiny_resnet() {
+        let (model, x, y) = setup();
+        let families = [
+            "fp:e4m3",
+            "fxp:1:3:12",
+            "int:8",
+            "bfp:e5m5:b16",
+            "afp:e4m3",
+            "mx:fp8e4m3:b32",
+            "posit:8:0",
+            "p3109:e4m3",
+            "gf:16",
+        ];
+        assert_weight_replay_matches_full_forward("tiny resnet", &model, &x, &y, &families, 3);
+    }
+
+    #[test]
+    fn weight_replay_matches_full_forward_on_resnet18_and_deit() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let x = Tensor::randn([2, 3, 16, 16], &mut rng);
+        let y = vec![0, 3];
+        let resnet = ResNet::new(ResNetConfig::resnet18(4, 4), &mut rng);
+        assert_weight_replay_matches_full_forward(
+            "resnet18",
+            &resnet,
+            &x,
+            &y,
+            &["fp:e4m3", "bfp:e5m5:b16"],
+            2,
+        );
+        let deit = models::VisionTransformer::new(models::DeitConfig::tiny_test(16, 4), &mut rng);
+        assert_weight_replay_matches_full_forward(
+            "deit",
+            &deit,
+            &x,
+            &y,
+            &["fp:e4m3", "bfp:e5m5:b16"],
+            2,
+        );
+    }
+
+    /// A tiny resnet whose `calls`-th segment forward panics.
+    struct PanicsAt {
+        inner: ResNet,
+        calls: AtomicUsize,
+        at: usize,
+    }
+
+    impl Module for PanicsAt {
+        fn forward(&self, x: &tensor::Var, ctx: &mut nn::Ctx) -> tensor::Var {
+            let mut h = x.clone();
+            for s in 0..self.num_segments() {
+                h = self.forward_segment(s, &h, ctx);
+            }
+            h
+        }
+
+        fn num_segments(&self) -> usize {
+            self.inner.num_segments()
+        }
+
+        fn forward_segment(
+            &self,
+            segment: usize,
+            x: &tensor::Var,
+            ctx: &mut nn::Ctx,
+        ) -> tensor::Var {
+            assert_ne!(self.calls.fetch_add(1, Ordering::SeqCst), self.at, "mid-campaign panic");
+            self.inner.forward_segment(segment, x, ctx)
+        }
+
+        fn visit_params(&self, f: &mut dyn FnMut(&nn::Param)) {
+            self.inner.visit_params(f);
+        }
+    }
+
+    #[test]
+    fn weight_campaign_restores_weights_after_a_panicking_trial() {
+        let (inner, x, y) = setup();
+        // Past the clean capture's segments, into the trials' replays.
+        let at = inner.num_segments() + 5;
+        let model = PanicsAt { inner, calls: AtomicUsize::new(0), at };
+        let before: Vec<Tensor> = model.params().iter().map(nn::Param::get).collect();
+        let ge = GoldenEye::parse("fp:e3m2").unwrap();
+        for jobs in [1, 2] {
+            model.calls.store(0, Ordering::SeqCst);
+            let cfg = CampaignConfig { injections_per_layer: 4, jobs, ..Default::default() };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_weight_campaign(&ge, &model, &x, &y, &cfg)
+            }));
+            assert!(outcome.is_err(), "jobs {jobs}: the trial should have panicked");
+            for (p, b) in model.params().iter().zip(&before) {
+                assert_eq!(&p.get(), b, "jobs {jobs}: {} left quantised", p.name());
+            }
         }
     }
 

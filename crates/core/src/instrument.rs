@@ -12,6 +12,7 @@ use inject::{
     SiteKind, ValueFlip,
 };
 use nn::{Ctx, ForwardHook, LayerInfo, LayerKind, Module, Param};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tensor::Tensor;
@@ -171,7 +172,7 @@ struct EmulationHook {
 /// Default format plus per-layer overrides (mixed precision).
 struct FormatTable {
     default: Arc<dyn NumberFormat>,
-    per_layer: std::collections::HashMap<usize, Arc<dyn NumberFormat>>,
+    per_layer: HashMap<usize, Arc<dyn NumberFormat>>,
 }
 
 impl FormatTable {
@@ -378,13 +379,15 @@ impl ForwardHook for DiscoveryHook {
 
 /// The cached state of one clean (fault-free) emulated inference, captured
 /// by [`GoldenEye::capture_clean_run`]: the activation entering each model
-/// segment, the hook-point count at each segment boundary, and the golden
-/// logits. [`GoldenEye::run_replay_batch`] replays faulty trials from the
-/// deepest checkpoint preceding the injection layer instead of re-running
+/// segment, the hook-point count at each segment boundary, the first
+/// segment binding each parameter, and the golden logits. Faulty trials
+/// replay from the checkpoint preceding their fault instead of re-running
 /// the whole network.
 pub struct CleanRun {
     seg_inputs: Vec<Tensor>,
     seg_layer_offset: Vec<usize>,
+    /// `Param::key` → the first segment whose forward binds the parameter.
+    param_segment: HashMap<usize, usize>,
     total_layers: usize,
     golden: Tensor,
 }
@@ -410,6 +413,14 @@ impl CleanRun {
             Err(s) => s - 1,
         }
     }
+
+    /// The first segment whose forward binds `param` (through
+    /// [`Ctx::var_of`]) — the checkpoint a trial faulting that weight
+    /// replays from, since no earlier segment reads it. A parameter the
+    /// clean forward never bound maps to segment 0, the full forward.
+    pub fn segment_for_param(&self, param: &Param) -> usize {
+        self.param_segment.get(&param.key()).copied().unwrap_or(0)
+    }
 }
 
 /// The GoldenEye functional simulator for one number format.
@@ -430,7 +441,7 @@ impl CleanRun {
 /// ```
 pub struct GoldenEye {
     format: Arc<dyn NumberFormat>,
-    layer_formats: std::collections::HashMap<usize, Arc<dyn NumberFormat>>,
+    layer_formats: HashMap<usize, Arc<dyn NumberFormat>>,
     filter: LayerFilter,
     range: Arc<RangeProfile>,
     detect: bool,
@@ -456,7 +467,7 @@ impl GoldenEye {
     pub fn new(format: Box<dyn NumberFormat>) -> Self {
         GoldenEye {
             format: Arc::from(format),
-            layer_formats: std::collections::HashMap::new(),
+            layer_formats: HashMap::new(),
             filter: LayerFilter::ConvLinear,
             range: Arc::new(RangeProfile::new()),
             detect: false,
@@ -594,6 +605,27 @@ impl GoldenEye {
         })
     }
 
+    /// The emulation hook for one run: `plan`'s fault drawn from `seed`
+    /// (none when `plan` is `None`), range handling per `range_mode`.
+    fn emulation_hook(
+        &self,
+        plan: Option<InjectionPlan>,
+        seed: u64,
+        sampler: BitSampler,
+        range_mode: RangeMode,
+    ) -> EmulationHook {
+        EmulationHook {
+            formats: self.format_table(),
+            filter: self.filter,
+            plan,
+            sampler,
+            injector: Mutex::new(Injector::new(seed)),
+            record: Mutex::new(None),
+            range: self.range.clone(),
+            range_mode,
+        }
+    }
+
     fn run_inner(
         &self,
         model: &dyn Module,
@@ -602,16 +634,7 @@ impl GoldenEye {
         seed: u64,
         sampler: BitSampler,
     ) -> (Tensor, Option<InjectionRecord>) {
-        let hook = Arc::new(EmulationHook {
-            formats: self.format_table(),
-            filter: self.filter,
-            plan,
-            sampler,
-            injector: Mutex::new(Injector::new(seed)),
-            record: Mutex::new(None),
-            range: self.range.clone(),
-            range_mode: self.trial_range_mode(),
-        });
+        let hook = Arc::new(self.emulation_hook(plan, seed, sampler, self.trial_range_mode()));
         let mut ctx = Ctx::inference();
         ctx.add_hook(hook.clone());
         let xv = ctx.input(x);
@@ -629,41 +652,80 @@ impl GoldenEye {
     }
 
     /// Runs one clean (fault-free) emulated inference segment by segment,
-    /// caching the activation entering each [`Module`] segment and the
-    /// hook-point count at each boundary. The cached activations are the
-    /// checkpoints batched trials replay from: a trial injecting at layer
-    /// `L` re-executes only the segments from `L`'s onward.
+    /// caching the activation entering each [`Module`] segment, the
+    /// hook-point count at each boundary, and the first segment to bind
+    /// each parameter. A trial injecting at layer `L` then re-executes only
+    /// the segments from `L`'s onward, one faulting weight `W` only those
+    /// from the first one reading `W`.
     ///
     /// Since `Module::forward` is contractually the segment chain, the
     /// returned golden logits are bit-identical to [`GoldenEye::run`].
     pub fn capture_clean_run(&self, model: &dyn Module, x: Tensor) -> CleanRun {
-        let hook = Arc::new(EmulationHook {
-            formats: self.format_table(),
-            filter: self.filter,
-            plan: None,
-            sampler: BitSampler::Uniform,
-            injector: Mutex::new(Injector::new(0)),
-            record: Mutex::new(None),
-            range: self.range.clone(),
-            range_mode: self.trial_range_mode(),
-        });
+        let hook = self.emulation_hook(None, 0, BitSampler::Uniform, self.trial_range_mode());
         let mut ctx = Ctx::inference();
-        ctx.add_hook(hook);
+        ctx.add_hook(Arc::new(hook));
         let segments = model.num_segments();
         let mut seg_inputs = Vec::with_capacity(segments);
         let mut seg_layer_offset = Vec::with_capacity(segments);
+        let mut param_segment = HashMap::new();
         let mut h = ctx.input(x);
         for s in 0..segments {
             seg_inputs.push(h.value());
             seg_layer_offset.push(ctx.layers_seen());
+            let bound = ctx.bindings().len();
             h = model.forward_segment(s, &h, &mut ctx);
+            for (p, _) in &ctx.bindings()[bound..] {
+                param_segment.entry(p.key()).or_insert(s);
+            }
         }
         CleanRun {
             seg_inputs,
             seg_layer_offset,
+            param_segment,
             total_layers: ctx.layers_seen(),
             golden: h.value(),
         }
+    }
+
+    /// The suffix-replay loop activation and weight trials share: runs
+    /// segments `seg..` from `clean`'s checkpoint, tiled into `replicas`
+    /// copies along dim 0, through `hook`, numbering hook points as the
+    /// full forward does.
+    fn replay_suffix(
+        &self,
+        model: &dyn Module,
+        clean: &CleanRun,
+        seg: usize,
+        hook: Arc<dyn ForwardHook>,
+        replicas: usize,
+    ) -> Tensor {
+        // Checkpoint-cache accounting: of the `num_segments` a full
+        // forward would run, this replay skips `seg` (the progress
+        // heartbeat reports the ratio as the cache hit rate).
+        trace::counter(trace::names::CAMPAIGN_REPLAY_BATCHES).add(1);
+        trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED).add(seg as u64);
+        trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL).add(model.num_segments() as u64);
+        let mut ctx = Ctx::inference();
+        ctx.add_hook(hook);
+        ctx.set_base_layer(clean.seg_layer_offset[seg]);
+        ctx.set_replicas(replicas);
+        let mut h = ctx.input(tensor::ops::tile_batch(&clean.seg_inputs[seg], replicas));
+        for s in seg..model.num_segments() {
+            h = model.forward_segment(s, &h, &mut ctx);
+        }
+        h.value()
+    }
+
+    /// [`GoldenEye::run`] under a thread-local override of `param` (and
+    /// of no other parameter), replayed from `param`'s first reader.
+    pub(crate) fn replay_with_param(
+        &self,
+        model: &dyn Module,
+        clean: &CleanRun,
+        param: &Param,
+    ) -> Tensor {
+        let hook = self.emulation_hook(None, 0, BitSampler::Uniform, self.trial_range_mode());
+        self.replay_suffix(model, clean, clean.segment_for_param(param), Arc::new(hook), 1)
     }
 
     /// Replays a batch of fault trials from the checkpoint preceding the
@@ -689,14 +751,6 @@ impl GoldenEye {
     ) -> Vec<(Tensor, Option<InjectionRecord>)> {
         assert!(!seeds.is_empty(), "a replay batch needs at least one trial seed");
         let n = seeds.len();
-        let seg = clean.segment_for_layer(plan.layer);
-        // Checkpoint-cache accounting: of the `num_segments` a full
-        // forward would run, this batch skips the `seg` before the
-        // checkpoint (the progress heartbeat reports the ratio as the
-        // cache hit rate).
-        trace::counter(trace::names::CAMPAIGN_REPLAY_BATCHES).add(1);
-        trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED).add(seg as u64);
-        trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL).add(model.num_segments() as u64);
         let hook = Arc::new(BatchEmulationHook {
             formats: self.format_table(),
             filter: self.filter,
@@ -706,15 +760,8 @@ impl GoldenEye {
             range: self.range.clone(),
             range_mode: self.trial_range_mode(),
         });
-        let mut ctx = Ctx::inference();
-        ctx.add_hook(hook.clone());
-        ctx.set_base_layer(clean.seg_layer_offset[seg]);
-        ctx.set_replicas(n);
-        let mut h = ctx.input(tensor::ops::tile_batch(&clean.seg_inputs[seg], n));
-        for s in seg..model.num_segments() {
-            h = model.forward_segment(s, &h, &mut ctx);
-        }
-        let logits = h.value();
+        let seg = clean.segment_for_layer(plan.layer);
+        let logits = self.replay_suffix(model, clean, seg, hook.clone(), n);
         let per = logits.dims()[0] / n;
         let state = lock(&hook.state);
         (0..n)
@@ -730,18 +777,9 @@ impl GoldenEye {
     pub fn profile_ranges(&self, model: &dyn Module, batches: &[Tensor]) {
         let _span = trace::span!("profile_ranges", batches = batches.len());
         for x in batches {
-            let hook = Arc::new(EmulationHook {
-                formats: self.format_table(),
-                filter: self.filter,
-                plan: None,
-                sampler: BitSampler::Uniform,
-                injector: Mutex::new(Injector::new(0)),
-                record: Mutex::new(None),
-                range: self.range.clone(),
-                range_mode: RangeMode::Profile,
-            });
+            let hook = self.emulation_hook(None, 0, BitSampler::Uniform, RangeMode::Profile);
             let mut ctx = Ctx::inference();
-            ctx.add_hook(hook);
+            ctx.add_hook(Arc::new(hook));
             let xv = ctx.input(x.clone());
             model.forward(&xv, &mut ctx);
         }
@@ -931,18 +969,51 @@ impl ParamSnapshot {
     ///
     /// Panics if the model's parameter set changed since capture.
     pub fn restore(&self, model: &dyn Module) {
-        let mut i = 0;
-        model.visit_params(&mut |p: &Param| {
-            let (name, value) = &self.values[i];
-            assert_eq!(p.name(), name, "parameter order changed since snapshot");
+        if let Err(e) = self.try_restore(model) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`ParamSnapshot::restore`], returning an error instead of panicking
+    /// when the parameter set changed since capture (every parameter still
+    /// matching its captured name is restored either way).
+    fn try_restore(&self, model: &dyn Module) -> Result<(), String> {
+        let mut saved = self.values.iter();
+        let mut moved = None;
+        model.visit_params(&mut |p: &Param| match saved.next() {
             // Overwrite wholesale rather than `Param::set`: restore is the
             // recovery path after a failed trial, and must succeed even if
             // a panicking worker left the current value torn (wrong shape,
             // poisoned lock).
-            p.update(|t| *t = value.clone());
-            i += 1;
+            Some((name, value)) if name == p.name() => p.update(|t| *t = value.clone()),
+            _ => {
+                moved.get_or_insert_with(|| p.name().to_string());
+            }
         });
-        assert_eq!(i, self.values.len(), "parameter count changed since snapshot");
+        match (moved, saved.next()) {
+            (None, None) => Ok(()),
+            (Some(name), _) => Err(format!("parameter order changed since snapshot at {name}")),
+            (None, Some(_)) => Err("parameter count changed since snapshot".to_string()),
+        }
+    }
+}
+
+/// Restores the captured parameters when dropped, also on unwind, so a
+/// panicking run never leaves quantised weights in the caller's model.
+pub(crate) struct RestoreOnDrop<'a>(ParamSnapshot, &'a dyn Module);
+
+impl<'a> RestoreOnDrop<'a> {
+    pub(crate) fn capture(model: &'a dyn Module) -> Self {
+        RestoreOnDrop(ParamSnapshot::capture(model), model)
+    }
+}
+
+impl Drop for RestoreOnDrop<'_> {
+    fn drop(&mut self) {
+        // Never panic here: a second panic while a trial unwinds aborts.
+        if let Err(e) = self.0.try_restore(self.1) {
+            trace::logln!(trace::Level::Error, "cannot restore weights: {e}");
+        }
     }
 }
 
@@ -1131,6 +1202,21 @@ mod tests {
         snap.restore(&model);
         let restored = models::forward_logits(&model, x);
         assert!(before.allclose(&restored, 0.0), "snapshot restore must be exact");
+    }
+
+    #[test]
+    fn restore_onto_a_changed_parameter_set_is_an_error() {
+        let snap = ParamSnapshot::capture(&tiny_model(11));
+        let mut rng = StdRng::seed_from_u64(12);
+        let other = models::VisionTransformer::new(models::DeitConfig::tiny_test(8, 4), &mut rng);
+        let err = snap.try_restore(&other).unwrap_err();
+        assert!(err.contains("changed since snapshot"), "{err}");
+        let fewer =
+            ResNet::new(ResNetConfig { layers: vec![1], ..ResNetConfig::tiny(4) }, &mut rng);
+        assert!(snap.try_restore(&fewer).is_err(), "a different parameter list must be reported");
+        let same = tiny_model(13);
+        assert_eq!(snap.try_restore(&same), Ok(()));
+        assert_eq!(same.params()[0].get(), tiny_model(11).params()[0].get());
     }
 
     #[test]
@@ -1354,6 +1440,7 @@ mod tests {
         let clean = CleanRun {
             seg_inputs: vec![],
             seg_layer_offset: vec![0, 1, 3, 5],
+            param_segment: HashMap::new(),
             total_layers: 7,
             golden: Tensor::zeros([1, 1]),
         };
@@ -1364,5 +1451,37 @@ mod tests {
         assert_eq!(clean.segment_for_layer(4), 2);
         assert_eq!(clean.segment_for_layer(6), 3);
         assert_eq!(clean.layers_seen(), 7);
+    }
+
+    #[test]
+    fn segment_for_param_is_the_first_binding_segment() {
+        let model = tiny_model(33);
+        let ge = GoldenEye::parse("fp:e4m3").unwrap();
+        let clean = ge.capture_clean_run(&model, sample(34));
+        // tiny resnet segments: stem, s0b0, s1b0, head.
+        assert_eq!(model.num_segments(), 4);
+        let mut seen = 0;
+        model.visit_params(&mut |p: &Param| {
+            let name = p.name();
+            let expected = if name.contains("bn") {
+                // Inference batch norm folds its parameters through
+                // `Param::get` and never binds them.
+                0
+            } else if name.starts_with("stem.") {
+                0
+            } else if name.starts_with("s0b0.") {
+                1
+            } else if name.starts_with("s1b0.") {
+                2
+            } else {
+                assert!(name.starts_with("head."), "unexpected parameter {name}");
+                3
+            };
+            assert_eq!(clean.segment_for_param(p), expected, "{name}");
+            seen += 1;
+        });
+        assert!(seen > 7);
+        let stray = Param::new("stray.weight", Tensor::zeros([1]));
+        assert_eq!(clean.segment_for_param(&stray), 0, "an unbound parameter replays everything");
     }
 }

@@ -17,11 +17,12 @@ pub const HOOK_CONVERT_ELEMS: &str = "hook.convert_elems";
 pub const HOOK_LOCK_WAIT_NS: &str = "hook.lock_wait_ns";
 /// Executed campaign trials.
 pub const CAMPAIGN_TRIALS: &str = "campaign.trials";
-/// Batched replay forwards executed by the checkpoint/replay engine.
+/// Replay forwards executed by the checkpoint/replay engine: one per
+/// activation-fault batch and one per weight-fault trial.
 pub const CAMPAIGN_REPLAY_BATCHES: &str = "campaign.replay.batches";
 /// Model segments skipped by replaying from a checkpoint (cache hits).
 pub const CAMPAIGN_REPLAY_SEG_SKIPPED: &str = "campaign.replay.segments_skipped";
-/// Total model segments a full forward of each replay batch would run.
+/// Total model segments a full forward of each replay would run.
 pub const CAMPAIGN_REPLAY_SEG_TOTAL: &str = "campaign.replay.segments_total";
 /// Dequantise lookup tables built by the `formats` fast path.
 pub const FORMATS_LUT_BUILDS: &str = "formats.lut.builds";

@@ -5,7 +5,7 @@
 //! These tests mutate the process-global tracer (level, capture buffer,
 //! metrics), so they serialise on a local mutex.
 
-use goldeneye::{run_campaign, CampaignConfig, GoldenEye};
+use goldeneye::{run_campaign, run_weight_campaign, CampaignConfig, GoldenEye};
 use inject::SiteKind;
 use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
 use rand::rngs::StdRng;
@@ -76,6 +76,50 @@ fn campaign_emits_validatable_trial_events_and_spans() {
         .find(|(name, _)| name == "campaign.trials")
         .expect("campaign.trials counter registered");
     assert_eq!(trial_counter.get("count").and_then(|c| c.as_u64()), Some(trials as u64));
+}
+
+#[test]
+fn weight_campaign_emits_site_weight_batch_spans_and_replay_counters() {
+    let _gate = serialize_tests();
+    let (model, x, y) = setup();
+    let ge = GoldenEye::parse("fp:e4m3").unwrap();
+    let cfg = CampaignConfig { injections_per_layer: 3, seed: 3, jobs: 2, ..Default::default() }
+        .with_trials_per_batch(2);
+
+    trace::set_level(Level::Debug); // spans emit at Debug
+    trace::capture_events(true);
+    trace::reset_metrics();
+    let _ = trace::take_events();
+    let result = run_weight_campaign(&ge, &model, &x, &y, &cfg);
+    trace::capture_events(false);
+    trace::set_level(Level::Info);
+    let events: Vec<trace::Json> = trace::take_events().iter().map(|e| e.to_json()).collect();
+
+    // One `batch` span per unit (3 trials in units of ≤ 2), tagged as a
+    // weight site.
+    let str_field = |v: &trace::Json, k: &str| v.get(k).and_then(|f| f.as_str()).map(String::from);
+    let batches: Vec<&trace::Json> = events
+        .iter()
+        .filter(|v| str_field(v, "type").as_deref() == Some("span"))
+        .filter(|v| str_field(v, "name").as_deref() == Some("batch"))
+        .collect();
+    assert_eq!(batches.len(), 2 * result.layers.len());
+    assert!(batches.iter().all(|v| str_field(v, "site").as_deref() == Some("weight")));
+
+    // Every weight trial is one replay forward, counted with the
+    // checkpoint-cache counters the heartbeat reports.
+    let count = |name: &'static str| trace::counter(name).count();
+    assert_eq!(count(trace::names::CAMPAIGN_REPLAY_BATCHES), result.trials.len() as u64);
+    let skipped = count(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED);
+    assert!(skipped > 0, "no weight trial replayed from a checkpoint");
+    assert!(skipped < count(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL));
+    let heartbeats: Vec<&trace::Json> = events
+        .iter()
+        .filter(|v| str_field(v, "type").as_deref() == Some("progress"))
+        .filter(|v| str_field(v, "phase").as_deref() == Some("weight_campaign"))
+        .collect();
+    assert!(!heartbeats.is_empty(), "weight campaign emitted no heartbeats");
+    assert!(heartbeats.iter().all(|v| v.get("cache_hit_rate").is_some()));
 }
 
 #[test]
